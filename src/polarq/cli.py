@@ -17,11 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -61,139 +63,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-TASKS = (
-    "fig3a",
-    "fig3b",
-    "fig4a",
-    "fig4b",
-    "fig5a",
-    "fig5b",
-    "fig6a",
-    "fig6b",
-    "sweep",
-    "concurrence",
-    "thermal",
-    "gap",
-    "compile-diagonal",
-    "iqp",
-    "cluster-check",
-    "fit-residuals",
-    "nmr-cnot",
-)
-
-# sweepable axis per task; None means the task takes no sweep block
-TASK_AXIS = {
-    "fig3a": "omega",
-    "fig4a": "omega",
-    "fig4b": "kt",
-    "fig5a": "omega",
-    "fig5b": "x",
-    "fig6a": "omega",
-    "fig6b": "x",
-    "sweep": None,  # any axis, chosen by the sweep block itself
-}
-
-_PAIR = {
-    "type": "array",
-    "items": {"type": "integer", "minimum": 0},
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "polarq run configuration",
-    "type": "object",
-    "required": ["task"],
-    "additionalProperties": False,
-    "properties": {
-        "task": {"enum": list(TASKS)},
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["linear", "square", "custom"]},
-                "n": {"type": "integer", "minimum": 1, "maximum": 24},
-                "rows": {"type": "integer", "minimum": 1},
-                "cols": {"type": "integer", "minimum": 1},
-                "positions": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                },
-                "field_direction": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "nearest_neighbors_only": {"type": "boolean"},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "required": ["parameter", "from", "to", "points"],
-            "additionalProperties": False,
-            "properties": {
-                "parameter": {"enum": ["omega", "x", "kt"]},
-                "from": {"type": "number"},
-                "to": {"type": "number"},
-                "points": {"type": "integer", "minimum": 1},
-                "scale": {"enum": ["linear", "log"]},
-            },
-        },
-        "parameters": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "x": {"type": "number", "minimum": 0},
-                "omega": {"type": "number", "minimum": 0},
-                "kt": {"type": "number", "minimum": 0},
-                "n": {"type": "integer", "minimum": 1, "maximum": 24},
-                "eps": {"type": "number", "exclusiveMinimum": 0},
-                "rows": {"type": "integer", "minimum": 1},
-                "cols": {"type": "integer", "minimum": 1},
-                "n_values": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "integer", "minimum": 1, "maximum": 24},
-                },
-                "x_values": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number", "minimum": 0},
-                },
-                "omega_values": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number", "minimum": 0},
-                },
-                "pairs": {"type": "array", "minItems": 1, "items": _PAIR},
-                "phases": {
-                    "type": "array",
-                    "minItems": 2,
-                    "items": {"type": "number"},
-                },
-                "phases_file": {"type": "string"},
-                "random_qubits": {"type": "integer", "minimum": 1, "maximum": 24},
-                "edges": {"type": "array", "items": _PAIR},
-                "graph": {"enum": ["chain", "grid"]},
-                "dw_shift": {"type": "number", "exclusiveMinimum": 0},
-                "angular_frequency": {"type": "boolean"},
-                "wait_scale": {"type": "number", "minimum": 0},
-                "which": {"enum": ["p", "concurrence"]},
-                "circuit_output": {"type": "string"},
-            },
-        },
-        "output": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1},
-    },
-}
+# default sweep of fig3a, fig5a and fig6a: (from, to, points, scale)
+OMEGA_LOG = (1e-5, 1e-3, 9, "log")
 
 
 class ConfigError(Exception):
@@ -212,53 +83,6 @@ def load_config(path: str) -> dict:
         ) from exc
 
 
-def validate_config(cfg) -> list[str]:
-    """All schema and consistency violations, empty when the config is good."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    out = []
-    for err in sorted(
-        validator.iter_errors(cfg),
-        key=lambda e: "/".join(str(p) for p in e.absolute_path),
-    ):
-        where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        out.append(f"{where}: {err.message}")
-    if out or not isinstance(cfg, dict):
-        return out
-    task = cfg["task"]
-    sweep = cfg.get("sweep")
-    if sweep is not None:
-        if task in TASK_AXIS:
-            axis = TASK_AXIS[task]
-            if axis is not None and sweep["parameter"] != axis:
-                out.append(
-                    f"sweep/parameter: task {task!r} sweeps {axis!r}, "
-                    f"got {sweep['parameter']!r}"
-                )
-        else:
-            out.append(f"sweep: task {task!r} does not take a sweep block")
-        if sweep["from"] > sweep["to"]:
-            out.append("sweep: 'from' must be <= 'to'")
-        if sweep.get("scale") == "log" and sweep["from"] <= 0:
-            out.append("sweep/from: log scale needs a positive lower bound")
-    elif task == "sweep":
-        out.append("sweep: task 'sweep' requires a sweep block")
-    params = cfg.get("parameters", {})
-    if task in ("compile-diagonal", "iqp"):
-        sources = [
-            k for k in ("phases", "phases_file", "random_qubits") if k in params
-        ]
-        if len(sources) > 1:
-            out.append(f"parameters: give only one phase source, got {sources}")
-        if "phases" in params:
-            m = len(params["phases"])
-            if m & (m - 1) or m < 2:
-                out.append(f"parameters/phases: length {m} is not a power of two")
-    geom = cfg.get("geometry", {})
-    if geom.get("kind") == "custom" and "positions" not in geom:
-        out.append("geometry: custom geometry requires positions")
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _qp(x: float):
     return qubit_pair(solve_pendular(x))
@@ -271,21 +95,32 @@ def _axis_values(sweep: dict) -> np.ndarray:
     return np.linspace(lo, hi, pts)
 
 
-def _resolve_geometry(cfg, default_kind="linear", default_n=2) -> ArrayGeometry:
+def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
+    """The geometry block over its task's default, and nearest_neighbors_only."""
+    kind, n = TASKS[cfg["task"]].geometry
     g = cfg.get("geometry", {})
-    kind = g.get("kind", default_kind)
+    kind = g.get("kind", kind)
     if kind == "linear":
-        return linear_array(g.get("n", default_n))
-    if kind == "square":
-        return square_array(g.get("rows", 3), g.get("cols", 3))
-    return custom_array(g["positions"], g.get("field_direction", (0.0, 0.0, 1.0)))
+        if n is None:
+            n = cfg.get("parameters", {}).get("n", 2)
+        geom = linear_array(g.get("n", n))
+    elif kind == "square":
+        geom = square_array(g.get("rows", 3), g.get("cols", 3))
+    else:
+        geom = custom_array(g["positions"], g.get("field_direction", (0.0, 0.0, 1.0)))
+    return geom, g.get("nearest_neighbors_only", False)
 
 
-def _ground_vector(x: float, geom: ArrayGeometry, omega: float, nn_only: bool):
+def _solve(x: float, geom: ArrayGeometry, omega: float, nn_only: bool = False):
     qp = _qp(x)
     coups = pair_couplings(geom, omega, nn_only)
     h = build_hamiltonian(qp, coups, geom.n_sites)
     return spectrum(h, "all")
+
+
+def _p(x: float, n: int, omega: float) -> float:
+    """Ground-state excitation probability of an n-molecule chain."""
+    return p_not_all_zero(_solve(x, linear_array(n), omega).eigenvectors[:, 0])
 
 
 def _cell(v) -> str:
@@ -333,60 +168,78 @@ def _resolve_phases(params: dict, seed: int) -> tuple[DiagonalUnitary, dict]:
     return d, meta
 
 
-class TaskPlan:
-    """Metadata, CSV header, and one deterministic job per output row."""
+class TaskPlan(NamedTuple):
+    """Metadata, CSV header, and deterministic jobs, each returning a list of rows."""
 
-    def __init__(self, metadata: dict, header: list[str], jobs: list):
-        self.metadata = metadata
-        self.header = header
-        self.jobs = jobs
+    metadata: dict
+    header: list[str]
+    jobs: list
 
 
-def _plan_p_vs_omega(cfg) -> TaskPlan:
+def _row_jobs(row, values, xs=()) -> list:
+    """One job per value, returning [row(value)].
+
+    The qubit pairs at the fields `xs` are solved first, so that worker
+    threads never race each other to fill `_qp`.
+    """
+    for x in xs:
+        _qp(float(x))
+    return [functools.partial(lambda v: [row(v)], v) for v in values]
+
+
+def _sweep_plan(cfg, default, fixed, meta, header, row, xs=None) -> TaskPlan:
+    """Rows [value, *row(point)] along the task's sweep axis.
+
+    `default` is the task's (from, to, points, scale) for a config without
+    a sweep block.  Each point is `fixed` with the axis value set, and every
+    entry of `fixed` but the axis goes into `meta`.  The qubit pairs are
+    solved first along the axis if it is x, else at `xs` (default: fixed x).
+    """
+    sweep = cfg.get("sweep")
+    if sweep is None:
+        keys = ("parameter", "from", "to", "points", "scale")
+        sweep = dict(zip(keys, (TASKS[cfg["task"]].axes[0], *default)))
+    axis = sweep["parameter"]
+    values = [float(v) for v in _axis_values(sweep)]
+    meta.update((k, v) for k, v in fixed.items() if k != axis)
+    meta["sweep"] = (
+        f"{axis} {sweep['from']}..{sweep['to']} points={sweep['points']} "
+        f"scale={sweep.get('scale', 'linear')}"
+    )
+    if axis == "x":
+        xs = values
+    elif xs is None:
+        xs = [fixed["x"]]
+
+    def row_at(value: float):
+        return [value, *row({**fixed, axis: value})]
+
+    return TaskPlan(meta, [axis, *header], _row_jobs(row_at, values, xs))
+
+
+def _plan_p_vs_omega(cfg, params, *_) -> TaskPlan:
     """fig3a: excitation probability vs coupling for several (n, x) curves."""
-    params = cfg.get("parameters", {})
-    sweep = cfg.get("sweep") or {
-        "parameter": "omega",
-        "from": 1e-5,
-        "to": 1e-3,
-        "points": 9,
-        "scale": "log",
-    }
-    omegas = _axis_values(sweep)
     n_values = params.get("n_values", [2, 4, 6, 8])
     x_values = params.get("x_values", [2.0, 3.0, 4.9])
-    for x in x_values:
-        _qp(float(x))
-    header = ["omega"] + [
-        f"p_n{n}_x{_cell(float(x))}" for x in x_values for n in n_values
-    ]
+    curves = [(float(x), n) for x in x_values for n in n_values]
+    header = [f"p_n{n}_x{_cell(x)}" for x, n in curves]
     meta = {
         "geometry": "linear",
         "n_values": _join(n_values),
         "x_values": _join(x_values),
-        "sweep": f"omega {sweep['from']}..{sweep['to']} points={sweep['points']} "
-        f"scale={sweep.get('scale', 'linear')}",
     }
 
-    def job(omega: float):
-        row = [omega]
-        for x in x_values:
-            for n in n_values:
-                spec = _ground_vector(float(x), linear_array(n), omega, False)
-                row.append(p_not_all_zero(spec.eigenvectors[:, 0]))
-        return row
+    def row(point):
+        return [_p(x, n, point["omega"]) for x, n in curves]
 
-    return TaskPlan(meta, header, [functools.partial(job, w) for w in omegas])
+    return _sweep_plan(cfg, OMEGA_LOG, {}, meta, header, row, x_values)
 
 
-def _plan_p_vs_n(cfg) -> TaskPlan:
+def _plan_p_vs_n(cfg, params, *_) -> TaskPlan:
     """fig3b: excitation probability vs molecule count at fixed coupling."""
-    params = cfg.get("parameters", {})
     omega = params.get("omega", 1e-5)
     n_values = params.get("n_values", list(range(2, 10)))
     x_values = params.get("x_values", [2.0, 3.0, 4.9, 8.0])
-    for x in x_values:
-        _qp(float(x))
     header = ["n"] + [f"p_x{_cell(float(x))}" for x in x_values]
     meta = {
         "geometry": "linear",
@@ -395,202 +248,96 @@ def _plan_p_vs_n(cfg) -> TaskPlan:
         "x_values": _join(x_values),
     }
 
-    def job(n: int):
-        row = [n]
-        for x in x_values:
-            spec = _ground_vector(float(x), linear_array(n), omega, False)
-            row.append(p_not_all_zero(spec.eigenvectors[:, 0]))
-        return row
+    def row(n: int):
+        return [n] + [_p(float(x), n, omega) for x in x_values]
 
-    return TaskPlan(meta, header, [functools.partial(job, n) for n in n_values])
+    return TaskPlan(meta, header, _row_jobs(row, n_values, x_values))
 
 
-def _plan_gap_vs_omega(cfg) -> TaskPlan:
+def _plan_gap_vs_omega(cfg, params, *_) -> TaskPlan:
     """fig4a: ground-state energy gap vs coupling for several sizes."""
-    params = cfg.get("parameters", {})
-    sweep = cfg.get("sweep") or {
-        "parameter": "omega",
-        "from": 0.0,
-        "to": 0.04,
-        "points": 9,
-        "scale": "linear",
-    }
-    omegas = _axis_values(sweep)
     x = params.get("x", 2.0)
     n_values = params.get("n_values", list(range(2, 10)))
-    _qp(float(x))
-    header = ["omega"] + [f"gap_n{n}" for n in n_values]
-    meta = {
-        "geometry": "linear",
-        "x": x,
-        "n_values": _join(n_values),
-        "sweep": f"omega {sweep['from']}..{sweep['to']} points={sweep['points']} "
-        f"scale={sweep.get('scale', 'linear')}",
-    }
+    header = [f"gap_n{n}" for n in n_values]
+    meta = {"geometry": "linear", "n_values": _join(n_values)}
 
-    def job(omega: float):
-        row = [omega]
-        for n in n_values:
-            spec = _ground_vector(float(x), linear_array(n), omega, False)
-            row.append(energy_gap(spec))
-        return row
+    def row(point):
+        return [
+            energy_gap(_solve(float(x), linear_array(n), point["omega"]))
+            for n in n_values
+        ]
 
-    return TaskPlan(meta, header, [functools.partial(job, w) for w in omegas])
+    default = (0.0, 0.04, 9, "linear")
+    return _sweep_plan(cfg, default, {"x": x}, meta, header, row)
 
 
-def _plan_thermal_vs_kt(cfg) -> TaskPlan:
+def _plan_thermal_vs_kt(cfg, params, *_) -> TaskPlan:
     """fig4b: thermal excitation probability vs temperature."""
-    params = cfg.get("parameters", {})
-    sweep = cfg.get("sweep") or {
-        "parameter": "kt",
-        "from": 2e-3,
-        "to": 5e-2,
-        "points": 9,
-        "scale": "log",
+    fixed = {
+        "x": params.get("x", 2.0),
+        "n": params.get("n", 8),
+        "omega": params.get("omega", 1e-4),
     }
-    kts = _axis_values(sweep)
-    x = params.get("x", 2.0)
-    n = params.get("n", 8)
-    omega = params.get("omega", 1e-4)
-    _qp(float(x))
-    header = ["kt", "p_thermal"]
-    meta = {
-        "geometry": "linear",
-        "x": x,
-        "n": n,
-        "omega": omega,
-        "sweep": f"kt {sweep['from']}..{sweep['to']} points={sweep['points']} "
-        f"scale={sweep.get('scale', 'linear')}",
-    }
-    spec = _ground_vector(float(x), linear_array(n), omega, False)
+    spec = _solve(float(fixed["x"]), linear_array(fixed["n"]), fixed["omega"])
 
-    def job(kt: float):
-        return [kt, thermal_excitation(spec, kt)]
+    def row(point):
+        return [thermal_excitation(spec, point["kt"])]
 
-    return TaskPlan(meta, header, [functools.partial(job, kt) for kt in kts])
+    default = (2e-3, 5e-2, 9, "log")
+    meta = {"geometry": "linear"}
+    return _sweep_plan(cfg, default, fixed, meta, ["p_thermal"], row)
 
 
-def _concurrence_columns(n_sites: int, pairs) -> tuple[list, list[str]]:
-    if pairs is None:
-        pairs = [(0, k) for k in range(1, n_sites)]
+def _plan_concurrences(cfg, params, *_) -> TaskPlan:
+    """fig5a-6b: concurrences with site 0, or of given pairs, along omega or x."""
+    geom, _ = _geometry(cfg)
+    pairs = params.get("pairs", [(0, k) for k in range(1, geom.n_sites)])
     pairs = [tuple(p) for p in pairs]
-    return pairs, [f"c_{i}{j}" for i, j in pairs]
-
-
-def _plan_conc_vs_omega(cfg, default_geom) -> TaskPlan:
-    """fig5a / fig6a: pairwise concurrences vs coupling at fixed field."""
-    params = cfg.get("parameters", {})
-    sweep = cfg.get("sweep") or {
-        "parameter": "omega",
-        "from": 1e-5,
-        "to": 1e-3,
-        "points": 9,
-        "scale": "log",
-    }
-    omegas = _axis_values(sweep)
-    x = params.get("x", 2.0)
-    geom = _resolve_geometry(cfg, *default_geom)
-    pairs, cols = _concurrence_columns(geom.n_sites, params.get("pairs"))
-    _qp(float(x))
-    header = ["omega"] + cols
+    header = [f"c_{i}{j}" for i, j in pairs]
     meta = {
         "geometry": _geom_label(geom),
-        "x": x,
         "pairs": _join(f"{i}-{j}" for i, j in pairs),
-        "sweep": f"omega {sweep['from']}..{sweep['to']} points={sweep['points']} "
-        f"scale={sweep.get('scale', 'linear')}",
     }
 
-    def job(omega: float):
-        spec = _ground_vector(float(x), geom, omega, False)
-        ground = spec.eigenvectors[:, 0]
-        return [omega] + [concurrence(reduce(ground, i, j)) for i, j in pairs]
+    def row(point):
+        spec = _solve(float(point["x"]), geom, point["omega"])
+        return [concurrence(reduce(spec.eigenvectors[:, 0], i, j)) for i, j in pairs]
 
-    return TaskPlan(meta, header, [functools.partial(job, w) for w in omegas])
-
-
-def _plan_conc_vs_x(cfg, default_geom) -> TaskPlan:
-    """fig5b / fig6b: pairwise concurrences vs reduced field at fixed coupling."""
-    params = cfg.get("parameters", {})
-    sweep = cfg.get("sweep") or {
-        "parameter": "x",
-        "from": 0.5,
-        "to": 8.0,
-        "points": 16,
-        "scale": "linear",
-    }
-    xs = _axis_values(sweep)
-    omega = params.get("omega", 1e-3)
-    geom = _resolve_geometry(cfg, *default_geom)
-    pairs, cols = _concurrence_columns(geom.n_sites, params.get("pairs"))
-    for x in xs:
-        _qp(float(x))
-    header = ["x"] + cols
-    meta = {
-        "geometry": _geom_label(geom),
-        "omega": omega,
-        "pairs": _join(f"{i}-{j}" for i, j in pairs),
-        "sweep": f"x {sweep['from']}..{sweep['to']} points={sweep['points']} "
-        f"scale={sweep.get('scale', 'linear')}",
-    }
-
-    def job(x: float):
-        spec = _ground_vector(float(x), geom, omega, False)
-        ground = spec.eigenvectors[:, 0]
-        return [x] + [concurrence(reduce(ground, i, j)) for i, j in pairs]
-
-    return TaskPlan(meta, header, [functools.partial(job, float(x)) for x in xs])
+    fixed = {"x": params.get("x", 2.0), "omega": params.get("omega", 1e-3)}
+    along_x = TASKS[cfg["task"]].axes == ("x",)
+    default = (0.5, 8.0, 16, "linear") if along_x else OMEGA_LOG
+    return _sweep_plan(cfg, default, fixed, meta, header, row)
 
 
-def _plan_sweep(cfg) -> TaskPlan:
+def _plan_sweep(cfg, params, *_) -> TaskPlan:
     """Generic one-axis sweep reporting excitation, gap, and thermal columns."""
-    params = cfg.get("parameters", {})
-    sweep = cfg["sweep"]
-    values = _axis_values(sweep)
-    axis = sweep["parameter"]
     fixed = {
         "x": params.get("x", 2.0),
         "omega": params.get("omega", 1e-3),
         "kt": params.get("kt", 0.0),
     }
-    geom = _resolve_geometry(cfg, "linear", params.get("n", 2))
-    nn_only = cfg.get("geometry", {}).get("nearest_neighbors_only", False)
-    for v in values if axis == "x" else [fixed["x"]]:
-        _qp(float(v))
-    header = [axis, "p_not", "gap", "p_thermal"]
-    meta = {
-        "geometry": _geom_label(geom),
-        "nearest_neighbors_only": nn_only,
-        **{k: v for k, v in fixed.items() if k != axis},
-        "sweep": f"{axis} {sweep['from']}..{sweep['to']} points={sweep['points']} "
-        f"scale={sweep.get('scale', 'linear')}",
-    }
+    geom, nn_only = _geometry(cfg)
+    meta = {"geometry": _geom_label(geom), "nearest_neighbors_only": nn_only}
 
-    def job(value: float):
-        point = dict(fixed)
-        point[axis] = value
-        spec = _ground_vector(float(point["x"]), geom, point["omega"], nn_only)
+    def row(point):
+        spec = _solve(float(point["x"]), geom, point["omega"], nn_only)
         return [
-            value,
             p_not_all_zero(spec.eigenvectors[:, 0]),
             energy_gap(spec),
             thermal_excitation(spec, point["kt"]),
         ]
 
-    return TaskPlan(meta, header, [functools.partial(job, float(v)) for v in values])
+    header = ["p_not", "gap", "p_thermal"]
+    return _sweep_plan(cfg, None, fixed, meta, header, row)
 
 
-def _plan_concurrence(cfg) -> TaskPlan:
+def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     """Single-shot pairwise concurrence map of the ground state."""
-    params = cfg.get("parameters", {})
     x = params.get("x", 2.0)
     omega = params.get("omega", 1e-3)
-    geom = _resolve_geometry(cfg, "linear", params.get("n", 2))
-    nn_only = cfg.get("geometry", {}).get("nearest_neighbors_only", False)
-    coups = pair_couplings(geom, omega, nn_only)
-    spec = _ground_vector(float(x), geom, omega, nn_only)
-    ground = spec.eigenvectors[:, 0]
-    by_pair = {(c.i, c.j): c for c in coups}
+    geom, nn_only = _geometry(cfg)
+    by_pair = {(c.i, c.j): c for c in pair_couplings(geom, omega, nn_only)}
+    ground = _solve(float(x), geom, omega, nn_only).eigenvectors[:, 0]
     header = ["i", "j", "omega_ij", "alpha_ij", "concurrence", "eof"]
     meta = {
         "geometry": _geom_label(geom),
@@ -599,29 +346,18 @@ def _plan_concurrence(cfg) -> TaskPlan:
         "nearest_neighbors_only": nn_only,
     }
 
-    def job(i: int, j: int):
-        c = concurrence(reduce(ground, i, j))
-        pc = by_pair.get((i, j))
-        return [
-            i,
-            j,
-            pc.omega if pc else 0.0,
-            pc.alpha if pc else math.pi / 2,
-            c,
-            entanglement_of_formation(c),
-        ]
+    def row(pair):
+        c = concurrence(reduce(ground, *pair))
+        pc = by_pair.get(pair)
+        omega_ij, alpha_ij = (pc.omega, pc.alpha) if pc else (0.0, math.pi / 2)
+        return [*pair, omega_ij, alpha_ij, c, entanglement_of_formation(c)]
 
-    jobs = [
-        functools.partial(job, i, j)
-        for i in range(geom.n_sites)
-        for j in range(i + 1, geom.n_sites)
-    ]
-    return TaskPlan(meta, header, jobs)
+    pairs = itertools.combinations(range(geom.n_sites), 2)
+    return TaskPlan(meta, header, _row_jobs(row, pairs))
 
 
-def _plan_thermal(cfg) -> TaskPlan:
+def _plan_thermal(cfg, params, *_) -> TaskPlan:
     """Single-shot thermal excitation probability."""
-    params = cfg.get("parameters", {})
     x = params.get("x", 2.0)
     n = params.get("n", 8)
     omega = params.get("omega", 1e-4)
@@ -630,15 +366,14 @@ def _plan_thermal(cfg) -> TaskPlan:
     meta = {"geometry": "linear"}
 
     def job():
-        spec = _ground_vector(float(x), linear_array(n), omega, False)
-        return [n, x, omega, kt, thermal_excitation(spec, kt)]
+        spec = _solve(float(x), linear_array(n), omega)
+        return [[n, x, omega, kt, thermal_excitation(spec, kt)]]
 
     return TaskPlan(meta, header, [job])
 
 
-def _plan_gap(cfg) -> TaskPlan:
+def _plan_gap(cfg, params, *_) -> TaskPlan:
     """Single-shot energy gap against the single-molecule splitting."""
-    params = cfg.get("parameters", {})
     x = params.get("x", 2.0)
     n = params.get("n", 2)
     omega = params.get("omega", 1e-4)
@@ -647,16 +382,14 @@ def _plan_gap(cfg) -> TaskPlan:
 
     def job():
         qp = _qp(float(x))
-        spec = _ground_vector(float(x), linear_array(n), omega, False)
-        gap = energy_gap(spec)
-        return [n, x, omega, gap, qp.dw, abs(gap - qp.dw) / qp.dw]
+        gap = energy_gap(_solve(float(x), linear_array(n), omega))
+        return [[n, x, omega, gap, qp.dw, abs(gap - qp.dw) / qp.dw]]
 
     return TaskPlan(meta, header, [job])
 
 
-def _plan_compile_diagonal(cfg, seed: int, out_path: str) -> TaskPlan:
+def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
     """Compile a diagonal unitary and report gate counts and exact error."""
-    params = cfg.get("parameters", {})
     eps = params.get("eps", 1e-3)
     d, meta = _resolve_phases(params, seed)
     circuit_out = params.get(
@@ -681,7 +414,7 @@ def _plan_compile_diagonal(cfg, seed: int, out_path: str) -> TaskPlan:
         for b in range(1 << d.n):
             out = simulate(circ, StateVector.basis(d.n, b))
             errs.append(abs(out.amplitudes[b] - np.exp(1j * d.phases[b])))
-        return [
+        row = [
             d.n,
             eps,
             circ.gate_count(),
@@ -690,13 +423,13 @@ def _plan_compile_diagonal(cfg, seed: int, out_path: str) -> TaskPlan:
             max(errs),
             circ.nearest_neighbor,
         ]
+        return [row]
 
     return TaskPlan(meta, header, [job])
 
 
-def _plan_iqp(cfg, seed: int) -> TaskPlan:
+def _plan_iqp(cfg, params, seed: int, _out_path: str) -> TaskPlan:
     """IQP |00...0> probability, analytically and through a compiled circuit."""
-    params = cfg.get("parameters", {})
     eps = params.get("eps", 1e-10)
     d, meta = _resolve_phases(params, seed)
     meta.update({"eps": eps, "n": d.n})
@@ -708,7 +441,7 @@ def _plan_iqp(cfg, seed: int) -> TaskPlan:
         circ = h_layer.then(compile_diagonal(d, eps)).then(h_layer)
         amp = simulate(circ).amplitudes[0]
         p_sim = float(abs(amp) ** 2)
-        return [d.n, p_exact, p_sim, abs(p_exact - p_sim)]
+        return [[d.n, p_exact, p_sim, abs(p_exact - p_sim)]]
 
     return TaskPlan(meta, header, [job])
 
@@ -733,28 +466,24 @@ def _cluster_edges(params: dict) -> tuple[list[tuple[int, int]], int, str]:
     return edges, rows * cols, f"grid[{rows}x{cols}]"
 
 
-def _plan_cluster_check(cfg) -> TaskPlan:
+def _plan_cluster_check(cfg, params, *_) -> TaskPlan:
     """Prepare a cluster state and report every stabilizer expectation."""
-    edges, n, label = _cluster_edges(cfg.get("parameters", {}))
+    edges, n, label = _cluster_edges(params)
     state = prepare_cluster_state(edges, n)
     checks = cluster_stabilizer_check(state, edges)
     header = ["vertex", "stabilizer_expectation"]
     meta = {"graph": label, "n": n, "edges": _join(f"{a}-{b}" for a, b in edges)}
-    jobs = [functools.partial(lambda a: [a, checks[a]], a) for a in range(n)]
-    return TaskPlan(meta, header, jobs)
+    return TaskPlan(meta, header, _row_jobs(lambda a: [a, checks[a]], range(n)))
 
 
-def _plan_fit_residuals(cfg) -> TaskPlan:
+def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
     """Exact-vs-fit relative errors over a parameter grid."""
-    params = cfg.get("parameters", {})
     which = params.get("which", "p")
     if which == "p":
         n_values = params.get("n_values", [4, 5, 6, 7, 8])
         x_values = params.get("x_values", [2.0, 3.0, 4.9])
         omega_values = params.get("omega_values", [1e-4, 1e-3])
-        for x in x_values:
-            _qp(float(x))
-        header = ["n", "x", "omega", "p_exact", "p_fit", "rel_error"]
+        header = ["n", "x", "omega", "p_exact", "p_fit"]
         meta = {
             "which": which,
             "geometry": "linear",
@@ -762,41 +491,33 @@ def _plan_fit_residuals(cfg) -> TaskPlan:
             "x_values": _join(x_values),
             "omega_values": _join(omega_values),
         }
+        grid = itertools.product(
+            n_values, map(float, x_values), map(float, omega_values)
+        )
 
-        def job(n: int, x: float, omega: float):
-            spec = _ground_vector(x, linear_array(n), omega, False)
-            exact = p_not_all_zero(spec.eigenvectors[:, 0])
-            fit = p_fit(n, x, omega)
-            return [n, x, omega, exact, fit, abs(fit - exact) / abs(exact)]
+        def exact_and_fit(n: int, x: float, omega: float):
+            return _p(x, n, omega), p_fit(n, x, omega)
 
-        jobs = [
-            functools.partial(job, n, float(x), float(w))
-            for n in n_values
-            for x in x_values
-            for w in omega_values
-        ]
-        return TaskPlan(meta, header, jobs)
-    x_values = params.get("x_values", [1.0, 2.0, 4.0])
-    omega = params.get("omega", 1e-3)
-    for x in x_values:
-        _qp(float(x))
-    header = ["x", "omega", "c_exact", "c_fit", "rel_error"]
-    meta = {"which": which, "geometry": "linear", "omega": omega, "n": 2}
+    else:
+        x_values = params.get("x_values", [1.0, 2.0, 4.0])
+        omega = params.get("omega", 1e-3)
+        header = ["x", "omega", "c_exact", "c_fit"]
+        meta = {"which": which, "geometry": "linear", "omega": omega, "n": 2}
+        grid = [(float(x), omega) for x in x_values]
 
-    def cjob(x: float):
-        spec = _ground_vector(x, linear_array(2), omega, False)
-        exact = concurrence(reduce(spec.eigenvectors[:, 0], 0, 1))
-        fit = c_fit(x, omega)
-        return [x, omega, exact, fit, abs(fit - exact) / abs(exact)]
+        def exact_and_fit(x: float, omega: float):
+            ground = _solve(x, linear_array(2), omega).eigenvectors[:, 0]
+            return concurrence(reduce(ground, 0, 1)), c_fit(x, omega)
 
-    return TaskPlan(
-        meta, header, [functools.partial(cjob, float(x)) for x in x_values]
-    )
+    def row(point):
+        exact, fit = exact_and_fit(*point)
+        return [*point, exact, fit, abs(fit - exact) / abs(exact)]
+
+    return TaskPlan(meta, header + ["rel_error"], _row_jobs(row, grid, x_values))
 
 
-def _plan_nmr_cnot(cfg) -> TaskPlan:
+def _plan_nmr_cnot(cfg, params, *_) -> TaskPlan:
     """Pulse-sequence CNOT deviation report."""
-    params = cfg.get("parameters", {})
     dw_shift = params.get("dw_shift", 1.0)
     angular = params.get("angular_frequency", True)
     wait_scale = params.get("wait_scale", 1.0)
@@ -810,63 +531,176 @@ def _plan_nmr_cnot(cfg) -> TaskPlan:
         "phase_control_z",
         "phase_target_z",
     ]
-    meta: dict = {}
 
     def job():
         rep = nmr_cnot_sequence(
             dw_shift, angular_frequency=angular, wait_scale=wait_scale
         )
-        return [
+        row = [
             rep.dw_shift,
             rep.angular_frequency,
             rep.wait_scale,
             rep.wait_time,
             rep.deviation,
-            rep.phases[0],
-            rep.phases[1],
-            rep.phases[2],
+            *rep.phases,
         ]
+        return [row]
 
-    return TaskPlan(meta, header, [job])
+    return TaskPlan({}, header, [job])
 
 
-def plan_task(cfg: dict, seed: int, out_path: str) -> TaskPlan:
+class Task(NamedTuple):
+    """A `polarq run` task: its planner and the config blocks it reads."""
+
+    plan: Callable[[dict, dict, int, str], TaskPlan]
+    # the axes its sweep block may sweep; empty when it takes no sweep block
+    axes: tuple[str, ...] = ()
+    # default (kind, n) of its geometry block, None when it takes none;
+    # n None means parameters.n, default 2
+    geometry: tuple[str, int | None] | None = None
+
+
+TASKS = {
+    "fig3a": Task(_plan_p_vs_omega, ("omega",)),
+    "fig3b": Task(_plan_p_vs_n),
+    "fig4a": Task(_plan_gap_vs_omega, ("omega",)),
+    "fig4b": Task(_plan_thermal_vs_kt, ("kt",)),
+    "fig5a": Task(_plan_concurrences, ("omega",), ("linear", 9)),
+    "fig5b": Task(_plan_concurrences, ("x",), ("linear", 9)),
+    "fig6a": Task(_plan_concurrences, ("omega",), ("square", 9)),
+    "fig6b": Task(_plan_concurrences, ("x",), ("square", 9)),
+    "sweep": Task(_plan_sweep, ("omega", "x", "kt"), ("linear", None)),
+    "concurrence": Task(_plan_concurrence, (), ("linear", None)),
+    "thermal": Task(_plan_thermal),
+    "gap": Task(_plan_gap),
+    "compile-diagonal": Task(_plan_compile_diagonal),
+    "iqp": Task(_plan_iqp),
+    "cluster-check": Task(_plan_cluster_check),
+    "fit-residuals": Task(_plan_fit_residuals),
+    "nmr-cnot": Task(_plan_nmr_cnot),
+}
+
+
+def _array(items: dict, size: int | None = None, min_items: int = 1) -> dict:
+    """Schema of an array of exactly `size` items, or of at least `min_items`."""
+    if size is not None:
+        return {"type": "array", "items": items, "minItems": size, "maxItems": size}
+    return {"type": "array", "minItems": min_items, "items": items}
+
+
+_NUMBER = {"type": "number"}
+_PAIR = _array({"type": "integer", "minimum": 0}, 2)
+
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "polarq run configuration",
+    "type": "object",
+    "required": ["task"],
+    "additionalProperties": False,
+    "properties": {
+        "task": {"enum": list(TASKS)},
+        "geometry": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": ["linear", "square", "custom"]},
+                "n": {"type": "integer", "minimum": 1, "maximum": 24},
+                "rows": {"type": "integer", "minimum": 1},
+                "cols": {"type": "integer", "minimum": 1},
+                "positions": _array(_array(_NUMBER, 3)),
+                "field_direction": _array(_NUMBER, 3),
+                "nearest_neighbors_only": {"type": "boolean"},
+            },
+        },
+        "sweep": {
+            "type": "object",
+            "required": ["parameter", "from", "to", "points"],
+            "additionalProperties": False,
+            "properties": {
+                "parameter": {"enum": ["omega", "x", "kt"]},
+                "from": _NUMBER,
+                "to": _NUMBER,
+                "points": {"type": "integer", "minimum": 1},
+                "scale": {"enum": ["linear", "log"]},
+            },
+        },
+        "parameters": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "x": {"type": "number", "minimum": 0},
+                "omega": {"type": "number", "minimum": 0},
+                "kt": {"type": "number", "minimum": 0},
+                "n": {"type": "integer", "minimum": 1, "maximum": 24},
+                "eps": {"type": "number", "exclusiveMinimum": 0},
+                "rows": {"type": "integer", "minimum": 1},
+                "cols": {"type": "integer", "minimum": 1},
+                "n_values": _array({"type": "integer", "minimum": 1, "maximum": 24}),
+                "x_values": _array({"type": "number", "minimum": 0}),
+                "omega_values": _array({"type": "number", "minimum": 0}),
+                "pairs": _array(_PAIR),
+                "phases": _array(_NUMBER, min_items=2),
+                "phases_file": {"type": "string"},
+                "random_qubits": {"type": "integer", "minimum": 1, "maximum": 24},
+                "edges": {"type": "array", "items": _PAIR},
+                "graph": {"enum": ["chain", "grid"]},
+                "dw_shift": {"type": "number", "exclusiveMinimum": 0},
+                "angular_frequency": {"type": "boolean"},
+                "wait_scale": {"type": "number", "minimum": 0},
+                "which": {"enum": ["p", "concurrence"]},
+                "circuit_output": {"type": "string"},
+            },
+        },
+        "output": {"type": "string"},
+        "workers": {"type": "integer", "minimum": 1},
+    },
+}
+
+
+def validate_config(cfg) -> list[str]:
+    """All schema and consistency violations, empty when the config is good."""
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    out = []
+    for err in sorted(
+        validator.iter_errors(cfg),
+        key=lambda e: "/".join(str(p) for p in e.absolute_path),
+    ):
+        where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
+        out.append(f"{where}: {err.message}")
+    if out or not isinstance(cfg, dict):
+        return out
     task = cfg["task"]
-    if task == "fig3a":
-        return _plan_p_vs_omega(cfg)
-    if task == "fig3b":
-        return _plan_p_vs_n(cfg)
-    if task == "fig4a":
-        return _plan_gap_vs_omega(cfg)
-    if task == "fig4b":
-        return _plan_thermal_vs_kt(cfg)
-    if task == "fig5a":
-        return _plan_conc_vs_omega(cfg, ("linear", 9))
-    if task == "fig5b":
-        return _plan_conc_vs_x(cfg, ("linear", 9))
-    if task == "fig6a":
-        return _plan_conc_vs_omega(cfg, ("square", 9))
-    if task == "fig6b":
-        return _plan_conc_vs_x(cfg, ("square", 9))
-    if task == "sweep":
-        return _plan_sweep(cfg)
-    if task == "concurrence":
-        return _plan_concurrence(cfg)
-    if task == "thermal":
-        return _plan_thermal(cfg)
-    if task == "gap":
-        return _plan_gap(cfg)
-    if task == "compile-diagonal":
-        return _plan_compile_diagonal(cfg, seed, out_path)
-    if task == "iqp":
-        return _plan_iqp(cfg, seed)
-    if task == "cluster-check":
-        return _plan_cluster_check(cfg)
-    if task == "fit-residuals":
-        return _plan_fit_residuals(cfg)
-    if task == "nmr-cnot":
-        return _plan_nmr_cnot(cfg)
-    raise ConfigError(f"unknown task {task!r}")
+    entry = TASKS[task]
+    sweep = cfg.get("sweep")
+    if sweep is not None:
+        if not entry.axes:
+            out.append(f"sweep: task {task!r} does not take a sweep block")
+        elif sweep["parameter"] not in entry.axes:
+            out.append(
+                f"sweep/parameter: task {task!r} sweeps {entry.axes[0]!r}, "
+                f"got {sweep['parameter']!r}"
+            )
+        if sweep["from"] > sweep["to"]:
+            out.append("sweep: 'from' must be <= 'to'")
+        if sweep.get("scale") == "log" and sweep["from"] <= 0:
+            out.append("sweep/from: log scale needs a positive lower bound")
+    elif task == "sweep":
+        out.append("sweep: task 'sweep' requires a sweep block")
+    params = cfg.get("parameters", {})
+    if task in ("compile-diagonal", "iqp"):
+        sources = [
+            k for k in ("phases", "phases_file", "random_qubits") if k in params
+        ]
+        if len(sources) > 1:
+            out.append(f"parameters: give only one phase source, got {sources}")
+        if "phases" in params:
+            m = len(params["phases"])
+            if m & (m - 1) or m < 2:
+                out.append(f"parameters/phases: length {m} is not a power of two")
+    geom = cfg.get("geometry", {})
+    if geom.get("kind") == "custom" and "positions" not in geom:
+        out.append("geometry: custom geometry requires positions")
+    return out
 
 
 def _write_csv(path, task, metadata, header, rows, failure=None) -> None:
@@ -881,6 +715,13 @@ def _write_csv(path, task, metadata, header, rows, failure=None) -> None:
             writer.writerow([_cell(v) for v in row])
         if failure is not None:
             writer.writerow(["FAILED", failure])
+
+
+def plan_task(cfg: dict, seed: int, out_path: str) -> TaskPlan:
+    task = cfg["task"]
+    if task not in TASKS:
+        raise ConfigError(f"unknown task {task!r}")
+    return TASKS[task].plan(cfg, cfg.get("parameters", {}), seed, out_path)
 
 
 def run(cfg: dict, out_path: str, workers: int, seed: int) -> int:
@@ -900,8 +741,8 @@ def run(cfg: dict, out_path: str, workers: int, seed: int) -> int:
     failure = None
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(lambda jb: jb(), plan.jobs):
-                rows.append(row)
+            for job_rows in pool.map(lambda jb: jb(), plan.jobs):
+                rows.extend(job_rows)
     except Exception as exc:  # noqa: BLE001 - every solver failure maps to exit 3
         failure = f"{type(exc).__name__}: {exc}"
     _write_csv(out_path, task, plan.metadata, plan.header, rows, failure)
