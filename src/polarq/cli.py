@@ -290,7 +290,7 @@ def _plan_thermal_vs_kt(cfg, params, *_) -> TaskPlan:
 
 def _plan_concurrences(cfg, params, *_) -> TaskPlan:
     """fig5a-6b: concurrences with site 0, or of given pairs, along omega or x."""
-    geom, _ = _geometry(cfg)
+    geom, nn_only = _geometry(cfg)
     pairs = params.get("pairs", [(0, k) for k in range(1, geom.n_sites)])
     pairs = [tuple(p) for p in pairs]
     header = [f"c_{i}{j}" for i, j in pairs]
@@ -300,7 +300,7 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
     }
 
     def row(point):
-        spec = _solve(float(point["x"]), geom, point["omega"])
+        spec = _solve(float(point["x"]), geom, point["omega"], nn_only)
         return [concurrence(reduce(spec.eigenvectors[:, 0], i, j)) for i, j in pairs]
 
     fixed = {"x": params.get("x", 2.0), "omega": params.get("omega", 1e-3)}
@@ -698,8 +698,31 @@ def validate_config(cfg) -> list[str]:
             if m & (m - 1) or m < 2:
                 out.append(f"parameters/phases: length {m} is not a power of two")
     geom = cfg.get("geometry", {})
+    if "geometry" in cfg and entry.geometry is None:
+        out.append(f"geometry: task {task!r} does not take a geometry block")
     if geom.get("kind") == "custom" and "positions" not in geom:
         out.append("geometry: custom geometry requires positions")
+    elif entry.geometry is not None:
+        try:
+            sites = _geometry(cfg)[0].n_sites
+        except ValueError as exc:
+            out.append(f"geometry: {exc}")
+        else:
+            out += [
+                f"parameters/pairs: {p} is not two distinct sites of {sites}"
+                for p in params.get("pairs", [])
+                if p[0] == p[1] or max(p) >= sites
+            ]
+    if task == "fit-residuals":
+        # rel_error divides by the exact value, which is 0 at omega = 0 and
+        # for one molecule; p_fit is undefined at x = 0
+        if params.get("which", "p") == "p":
+            excluded = [("n_values", 1), ("x_values", 0), ("omega_values", 0)]
+        else:
+            excluded = [("omega", 0)]
+        for key, bad in excluded:
+            if bad in np.atleast_1d(params.get(key, [])):
+                out.append(f"parameters/{key}: fit-residuals cannot take {bad}")
     return out
 
 

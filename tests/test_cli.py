@@ -114,6 +114,34 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         ),
         ({"task": "iqp", "parameters": {"phases": [0.0, 1.0, 2.0]}}, "power of two"),
         ({"task": "gap", "geometry": {"kind": "custom"}}, "positions"),
+        # accepted by the schema, then ignored or failed at run time
+        (
+            {"task": "fig3a", "geometry": {"kind": "square", "rows": 2, "cols": 2}},
+            "does not take a geometry",
+        ),
+        ({"task": "fig5a", "parameters": {"pairs": [[0, 20]]}}, "pairs"),
+        ({"task": "fig6b", "parameters": {"pairs": [[1, 1]]}}, "pairs"),
+        (
+            {
+                "task": "concurrence",
+                "geometry": {
+                    "kind": "custom",
+                    "positions": [[0, 0, 0], [1, 0, 0]],
+                    "field_direction": [0, 0, 0],
+                },
+            },
+            "field_direction",
+        ),
+        ({"task": "fit-residuals", "parameters": {"omega_values": [0]}}, "omega"),
+        (
+            {
+                "task": "fit-residuals",
+                "parameters": {"which": "concurrence", "omega": 0},
+            },
+            "omega",
+        ),
+        ({"task": "fit-residuals", "parameters": {"n_values": [1]}}, "n_values"),
+        ({"task": "fit-residuals", "parameters": {"x_values": [0]}}, "x_values"),
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
@@ -330,3 +358,29 @@ def test_declared_entry_point_runs():
         check=True,
     )
     assert proc.stdout.strip() == f"polarq {polarq.__version__}"
+
+
+def test_fig5a_honours_nearest_neighbors_only(tmp_path):
+    geometry = {"kind": "linear", "n": 4, "nearest_neighbors_only": True}
+    fig5a = write_cfg(
+        tmp_path,
+        {
+            "task": "fig5a",
+            "geometry": geometry,
+            "sweep": {"parameter": "omega", "from": 1e-3, "to": 1e-3, "points": 1},
+        },
+        "fig5a.json",
+    )
+    pair_map = write_cfg(
+        tmp_path,
+        {"task": "concurrence", "geometry": geometry, "parameters": {"omega": 1e-3}},
+        "concurrence.json",
+    )
+    a, b = tmp_path / "fig5a.csv", tmp_path / "concurrence.csv"
+    assert cli.main(["run", fig5a, "--out", str(a)]) == 0
+    assert cli.main(["run", pair_map, "--out", str(b)]) == 0
+    _, header, rows = read_csv(str(a))
+    _, map_header, map_rows = read_csv(str(b))
+    (row01,) = [r for r in map_rows if r[:2] == ["0", "1"]]
+    want = float(row01[map_header.index("concurrence")])
+    assert float(rows[0][header.index("c_01")]) == pytest.approx(want, rel=1e-12)

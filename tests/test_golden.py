@@ -91,6 +91,11 @@ GOLDEN = {
         "sweep": _sweep("omega", 1e-4, 1e-3, 3, "log"),
         "parameters": {"x": 3.0, "pairs": [[0, 1], [1, 3], [2, 1]]},
     },
+    "fig5a_nn": {
+        "task": "fig5a",
+        "geometry": {"kind": "linear", "n": 4, "nearest_neighbors_only": True},
+        "sweep": _sweep("omega", 1e-4, 1e-3, 2, "log"),
+    },
     "fig5b_square": {
         "task": "fig5b",
         "geometry": {"kind": "square", "rows": 2, "cols": 2},
