@@ -88,13 +88,6 @@ def _qp(x: float):
     return qubit_pair(solve_pendular(x))
 
 
-def _axis_values(sweep: dict) -> np.ndarray:
-    lo, hi, pts = sweep["from"], sweep["to"], sweep["points"]
-    if sweep.get("scale", "linear") == "log":
-        return np.geomspace(lo, hi, pts)
-    return np.linspace(lo, hi, pts)
-
-
 def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
     """The geometry block over its task's default, and nearest_neighbors_only."""
     kind, n = TASKS[cfg["task"]].geometry
@@ -121,6 +114,11 @@ def _solve(x: float, geom: ArrayGeometry, omega: float, nn_only: bool = False):
 def _p(x: float, n: int, omega: float) -> float:
     """Ground-state excitation probability of an n-molecule chain."""
     return p_not_all_zero(_solve(x, linear_array(n), omega).eigenvectors[:, 0])
+
+
+def _with_defaults(params: dict, **defaults) -> dict:
+    """The parameters named in `defaults`, in order, from `params` or else default."""
+    return {k: params.get(k, v) for k, v in defaults.items()}
 
 
 def _cell(v) -> str:
@@ -187,7 +185,7 @@ def _row_jobs(row, values, xs=()) -> list:
     return [functools.partial(lambda v: [row(v)], v) for v in values]
 
 
-def _sweep_plan(cfg, default, fixed, meta, header, row, xs=None) -> TaskPlan:
+def _sweep_plan(cfg, default, fixed, meta, header, row, xs=()) -> TaskPlan:
     """Rows [value, *row(point)] along the task's sweep axis.
 
     `default` is the task's (from, to, points, scale) for a config without
@@ -200,16 +198,14 @@ def _sweep_plan(cfg, default, fixed, meta, header, row, xs=None) -> TaskPlan:
         keys = ("parameter", "from", "to", "points", "scale")
         sweep = dict(zip(keys, (TASKS[cfg["task"]].axes[0], *default)))
     axis = sweep["parameter"]
-    values = [float(v) for v in _axis_values(sweep)]
+    space = np.geomspace if sweep.get("scale", "linear") == "log" else np.linspace
+    values = [float(v) for v in space(sweep["from"], sweep["to"], sweep["points"])]
     meta.update((k, v) for k, v in fixed.items() if k != axis)
     meta["sweep"] = (
         f"{axis} {sweep['from']}..{sweep['to']} points={sweep['points']} "
         f"scale={sweep.get('scale', 'linear')}"
     )
-    if axis == "x":
-        xs = values
-    elif xs is None:
-        xs = [fixed["x"]]
+    xs = values if axis == "x" else (xs or [fixed["x"]])
 
     def row_at(value: float):
         return [value, *row({**fixed, axis: value})]
@@ -219,65 +215,53 @@ def _sweep_plan(cfg, default, fixed, meta, header, row, xs=None) -> TaskPlan:
 
 def _plan_p_vs_omega(cfg, params, *_) -> TaskPlan:
     """fig3a: excitation probability vs coupling for several (n, x) curves."""
-    n_values = params.get("n_values", [2, 4, 6, 8])
-    x_values = params.get("x_values", [2.0, 3.0, 4.9])
-    curves = [(float(x), n) for x in x_values for n in n_values]
+    grid = _with_defaults(params, n_values=[2, 4, 6, 8], x_values=[2.0, 3.0, 4.9])
+    curves = [(float(x), n) for x in grid["x_values"] for n in grid["n_values"]]
     header = [f"p_n{n}_x{_cell(x)}" for x, n in curves]
-    meta = {
-        "geometry": "linear",
-        "n_values": _join(n_values),
-        "x_values": _join(x_values),
-    }
+    meta = {"geometry": "linear", **{k: _join(v) for k, v in grid.items()}}
 
     def row(point):
         return [_p(x, n, point["omega"]) for x, n in curves]
 
-    return _sweep_plan(cfg, OMEGA_LOG, {}, meta, header, row, x_values)
+    return _sweep_plan(cfg, OMEGA_LOG, {}, meta, header, row, grid["x_values"])
 
 
 def _plan_p_vs_n(cfg, params, *_) -> TaskPlan:
     """fig3b: excitation probability vs molecule count at fixed coupling."""
     omega = params.get("omega", 1e-5)
-    n_values = params.get("n_values", list(range(2, 10)))
-    x_values = params.get("x_values", [2.0, 3.0, 4.9, 8.0])
-    header = ["n"] + [f"p_x{_cell(float(x))}" for x in x_values]
-    meta = {
-        "geometry": "linear",
-        "omega": omega,
-        "n_values": _join(n_values),
-        "x_values": _join(x_values),
-    }
+    grid = _with_defaults(
+        params, n_values=list(range(2, 10)), x_values=[2.0, 3.0, 4.9, 8.0]
+    )
+    x_values = [float(x) for x in grid["x_values"]]
+    header = ["n"] + [f"p_x{_cell(x)}" for x in x_values]
+    meta = {"geometry": "linear", "omega": omega}
+    meta.update((k, _join(v)) for k, v in grid.items())
 
     def row(n: int):
-        return [n] + [_p(float(x), n, omega) for x in x_values]
+        return [n] + [_p(x, n, omega) for x in x_values]
 
-    return TaskPlan(meta, header, _row_jobs(row, n_values, x_values))
+    return TaskPlan(meta, header, _row_jobs(row, grid["n_values"], x_values))
 
 
 def _plan_gap_vs_omega(cfg, params, *_) -> TaskPlan:
     """fig4a: ground-state energy gap vs coupling for several sizes."""
-    x = params.get("x", 2.0)
     n_values = params.get("n_values", list(range(2, 10)))
     header = [f"gap_n{n}" for n in n_values]
     meta = {"geometry": "linear", "n_values": _join(n_values)}
 
     def row(point):
         return [
-            energy_gap(_solve(float(x), linear_array(n), point["omega"]))
+            energy_gap(_solve(float(point["x"]), linear_array(n), point["omega"]))
             for n in n_values
         ]
 
-    default = (0.0, 0.04, 9, "linear")
-    return _sweep_plan(cfg, default, {"x": x}, meta, header, row)
+    fixed = _with_defaults(params, x=2.0)
+    return _sweep_plan(cfg, (0.0, 0.04, 9, "linear"), fixed, meta, header, row)
 
 
 def _plan_thermal_vs_kt(cfg, params, *_) -> TaskPlan:
     """fig4b: thermal excitation probability vs temperature."""
-    fixed = {
-        "x": params.get("x", 2.0),
-        "n": params.get("n", 8),
-        "omega": params.get("omega", 1e-4),
-    }
+    fixed = _with_defaults(params, x=2.0, n=8, omega=1e-4)
     spec = _solve(float(fixed["x"]), linear_array(fixed["n"]), fixed["omega"])
 
     def row(point):
@@ -303,7 +287,7 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
         spec = _solve(float(point["x"]), geom, point["omega"], nn_only)
         return [concurrence(reduce(spec.eigenvectors[:, 0], i, j)) for i, j in pairs]
 
-    fixed = {"x": params.get("x", 2.0), "omega": params.get("omega", 1e-3)}
+    fixed = _with_defaults(params, x=2.0, omega=1e-3)
     along_x = TASKS[cfg["task"]].axes == ("x",)
     default = (0.5, 8.0, 16, "linear") if along_x else OMEGA_LOG
     return _sweep_plan(cfg, default, fixed, meta, header, row)
@@ -311,11 +295,7 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
 
 def _plan_sweep(cfg, params, *_) -> TaskPlan:
     """Generic one-axis sweep reporting excitation, gap, and thermal columns."""
-    fixed = {
-        "x": params.get("x", 2.0),
-        "omega": params.get("omega", 1e-3),
-        "kt": params.get("kt", 0.0),
-    }
+    fixed = _with_defaults(params, x=2.0, omega=1e-3, kt=0.0)
     geom, nn_only = _geometry(cfg)
     meta = {"geometry": _geom_label(geom), "nearest_neighbors_only": nn_only}
 
@@ -333,18 +313,13 @@ def _plan_sweep(cfg, params, *_) -> TaskPlan:
 
 def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     """Single-shot pairwise concurrence map of the ground state."""
-    x = params.get("x", 2.0)
-    omega = params.get("omega", 1e-3)
+    point = _with_defaults(params, x=2.0, omega=1e-3)
+    omega = point["omega"]
     geom, nn_only = _geometry(cfg)
     by_pair = {(c.i, c.j): c for c in pair_couplings(geom, omega, nn_only)}
-    ground = _solve(float(x), geom, omega, nn_only).eigenvectors[:, 0]
+    ground = _solve(float(point["x"]), geom, omega, nn_only).eigenvectors[:, 0]
     header = ["i", "j", "omega_ij", "alpha_ij", "concurrence", "eof"]
-    meta = {
-        "geometry": _geom_label(geom),
-        "x": x,
-        "omega": omega,
-        "nearest_neighbors_only": nn_only,
-    }
+    meta = {"geometry": _geom_label(geom), **point, "nearest_neighbors_only": nn_only}
 
     def row(pair):
         c = concurrence(reduce(ground, *pair))
@@ -358,34 +333,27 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
 
 def _plan_thermal(cfg, params, *_) -> TaskPlan:
     """Single-shot thermal excitation probability."""
-    x = params.get("x", 2.0)
-    n = params.get("n", 8)
-    omega = params.get("omega", 1e-4)
-    kt = params.get("kt", 2e-3)
-    header = ["n", "x", "omega", "kt", "p_thermal"]
-    meta = {"geometry": "linear"}
+    point = _with_defaults(params, n=8, x=2.0, omega=1e-4, kt=2e-3)
 
     def job():
-        spec = _solve(float(x), linear_array(n), omega)
-        return [[n, x, omega, kt, thermal_excitation(spec, kt)]]
+        spec = _solve(float(point["x"]), linear_array(point["n"]), point["omega"])
+        return [[*point.values(), thermal_excitation(spec, point["kt"])]]
 
-    return TaskPlan(meta, header, [job])
+    return TaskPlan({"geometry": "linear"}, [*point, "p_thermal"], [job])
 
 
 def _plan_gap(cfg, params, *_) -> TaskPlan:
     """Single-shot energy gap against the single-molecule splitting."""
-    x = params.get("x", 2.0)
-    n = params.get("n", 2)
-    omega = params.get("omega", 1e-4)
-    header = ["n", "x", "omega", "gap", "dw", "rel_dev"]
-    meta = {"geometry": "linear"}
+    point = _with_defaults(params, n=2, x=2.0, omega=1e-4)
+    header = [*point, "gap", "dw", "rel_dev"]
 
     def job():
-        qp = _qp(float(x))
-        gap = energy_gap(_solve(float(x), linear_array(n), omega))
-        return [[n, x, omega, gap, qp.dw, abs(gap - qp.dw) / qp.dw]]
+        x = float(point["x"])
+        dw = _qp(x).dw
+        gap = energy_gap(_solve(x, linear_array(point["n"]), point["omega"]))
+        return [[*point.values(), gap, dw, abs(gap - dw) / dw]]
 
-    return TaskPlan(meta, header, [job])
+    return TaskPlan({"geometry": "linear"}, header, [job])
 
 
 def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
@@ -518,13 +486,9 @@ def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
 
 def _plan_nmr_cnot(cfg, params, *_) -> TaskPlan:
     """Pulse-sequence CNOT deviation report."""
-    dw_shift = params.get("dw_shift", 1.0)
-    angular = params.get("angular_frequency", True)
-    wait_scale = params.get("wait_scale", 1.0)
+    args = _with_defaults(params, dw_shift=1.0, angular_frequency=True, wait_scale=1.0)
     header = [
-        "dw_shift",
-        "angular_frequency",
-        "wait_scale",
+        *args,
         "wait_time",
         "deviation",
         "phase_global",
@@ -533,9 +497,7 @@ def _plan_nmr_cnot(cfg, params, *_) -> TaskPlan:
     ]
 
     def job():
-        rep = nmr_cnot_sequence(
-            dw_shift, angular_frequency=angular, wait_scale=wait_scale
-        )
+        rep = nmr_cnot_sequence(**args)
         row = [
             rep.dw_shift,
             rep.angular_frequency,
@@ -740,18 +702,13 @@ def _write_csv(path, task, metadata, header, rows, failure=None) -> None:
             writer.writerow(["FAILED", failure])
 
 
-def plan_task(cfg: dict, seed: int, out_path: str) -> TaskPlan:
-    task = cfg["task"]
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}")
-    return TASKS[task].plan(cfg, cfg.get("parameters", {}), seed, out_path)
-
-
 def run(cfg: dict, out_path: str, workers: int, seed: int) -> int:
     """Execute a validated config; returns the process exit code."""
     task = cfg["task"]
     try:
-        plan = plan_task(cfg, seed, out_path)
+        if task not in TASKS:
+            raise ConfigError(f"unknown task {task!r}")
+        plan = TASKS[task].plan(cfg, cfg.get("parameters", {}), seed, out_path)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -789,7 +746,6 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--workers",
         type=int,
-        default=None,
         help="parallel sweep workers (default: CPU count)",
     )
     p_run.add_argument(
@@ -809,12 +765,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     violations = validate_config(cfg)
     if args.command == "validate":
-        if violations:
-            for v in violations:
-                print(v)
-            return EXIT_CONFIG
-        print("ok")
-        return EXIT_OK
+        print("\n".join(violations) or "ok")
+        return EXIT_CONFIG if violations else EXIT_OK
     if violations:
         for v in violations:
             print(f"error: {v}", file=sys.stderr)
