@@ -7,9 +7,9 @@ Subcommands:
 Configs are JSON documents checked against CONFIG_SCHEMA (published as
 docs/config.schema.json).  Every task writes a CSV whose leading comment
 block (# key=value) records the resolved inputs and tool version, followed
-by a header row and data rows; identical configs produce byte-identical
-files.  Exit codes: 0 success, 2 config error, 3 solver failure (partial
-rows are flushed with a FAILED sentinel row).
+by a header row and data rows; identical configs give byte-identical files
+at a fixed BLAS thread count.  Exit codes: 0 success, 2 config error, 3
+solver failure (partial rows are flushed with a FAILED sentinel row).
 """
 
 from __future__ import annotations
@@ -396,7 +396,7 @@ def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
     return TaskPlan(meta, header, [job])
 
 
-def _plan_iqp(cfg, params, seed: int, _out_path: str) -> TaskPlan:
+def _plan_iqp(cfg, params, seed: int, *_) -> TaskPlan:
     """IQP |00...0> probability, analytically and through a compiled circuit."""
     eps = params.get("eps", 1e-10)
     d, meta = _resolve_phases(params, seed)
