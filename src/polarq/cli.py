@@ -51,6 +51,7 @@ from .lattice import (
     square_array,
 )
 from .manybody import (
+    DENSE_LIMIT,
     build_hamiltonian,
     energy_gap,
     p_not_all_zero,
@@ -104,16 +105,21 @@ def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
     return geom, g.get("nearest_neighbors_only", False)
 
 
-def _solve(x: float, geom: ArrayGeometry, omega: float, nn_only: bool = False):
+def _solve(x: float, geom: ArrayGeometry, omega: float, k, nn_only: bool = False):
+    """The lowest k eigenpairs (or "all") of the array at field x, coupling omega."""
     qp = _qp(x)
     coups = pair_couplings(geom, omega, nn_only)
     h = build_hamiltonian(qp, coups, geom.n_sites)
-    return spectrum(h, "all")
+    return spectrum(h, k)
+
+
+def _ground(x: float, geom: ArrayGeometry, omega: float, nn_only: bool = False):
+    return _solve(x, geom, omega, 1, nn_only).eigenvectors[:, 0]
 
 
 def _p(x: float, n: int, omega: float) -> float:
     """Ground-state excitation probability of an n-molecule chain."""
-    return p_not_all_zero(_solve(x, linear_array(n), omega).eigenvectors[:, 0])
+    return p_not_all_zero(_ground(x, linear_array(n), omega))
 
 
 def _with_defaults(params: dict, **defaults) -> dict:
@@ -251,7 +257,7 @@ def _plan_gap_vs_omega(cfg, params, *_) -> TaskPlan:
 
     def row(point):
         return [
-            energy_gap(_solve(float(point["x"]), linear_array(n), point["omega"]))
+            energy_gap(_solve(float(point["x"]), linear_array(n), point["omega"], 2))
             for n in n_values
         ]
 
@@ -262,7 +268,7 @@ def _plan_gap_vs_omega(cfg, params, *_) -> TaskPlan:
 def _plan_thermal_vs_kt(cfg, params, *_) -> TaskPlan:
     """fig4b: thermal excitation probability vs temperature."""
     fixed = _with_defaults(params, x=2.0, n=8, omega=1e-4)
-    spec = _solve(float(fixed["x"]), linear_array(fixed["n"]), fixed["omega"])
+    spec = _solve(float(fixed["x"]), linear_array(fixed["n"]), fixed["omega"], "all")
 
     def row(point):
         return [thermal_excitation(spec, point["kt"])]
@@ -284,8 +290,8 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
     }
 
     def row(point):
-        spec = _solve(float(point["x"]), geom, point["omega"], nn_only)
-        return [concurrence(reduce(spec.eigenvectors[:, 0], i, j)) for i, j in pairs]
+        ground = _ground(float(point["x"]), geom, point["omega"], nn_only)
+        return [concurrence(reduce(ground, i, j)) for i, j in pairs]
 
     fixed = _with_defaults(params, x=2.0, omega=1e-3)
     along_x = TASKS[cfg["task"]].axes == ("x",)
@@ -300,7 +306,7 @@ def _plan_sweep(cfg, params, *_) -> TaskPlan:
     meta = {"geometry": _geom_label(geom), "nearest_neighbors_only": nn_only}
 
     def row(point):
-        spec = _solve(float(point["x"]), geom, point["omega"], nn_only)
+        spec = _solve(float(point["x"]), geom, point["omega"], "all", nn_only)
         return [
             p_not_all_zero(spec.eigenvectors[:, 0]),
             energy_gap(spec),
@@ -317,9 +323,14 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     omega = point["omega"]
     geom, nn_only = _geometry(cfg)
     by_pair = {(c.i, c.j): c for c in pair_couplings(geom, omega, nn_only)}
-    ground = _solve(float(point["x"]), geom, omega, nn_only).eigenvectors[:, 0]
+    ground = _ground(float(point["x"]), geom, omega, nn_only)
     header = ["i", "j", "omega_ij", "alpha_ij", "concurrence", "eof"]
     meta = {"geometry": _geom_label(geom), **point, "nearest_neighbors_only": nn_only}
+    if "pairs" in params:
+        pairs = [tuple(p) for p in params["pairs"]]
+        meta["pairs"] = _join(f"{i}-{j}" for i, j in pairs)
+    else:
+        pairs = itertools.combinations(range(geom.n_sites), 2)
 
     def row(pair):
         c = concurrence(reduce(ground, *pair))
@@ -327,7 +338,6 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
         omega_ij, alpha_ij = (pc.omega, pc.alpha) if pc else (0.0, math.pi / 2)
         return [*pair, omega_ij, alpha_ij, c, entanglement_of_formation(c)]
 
-    pairs = itertools.combinations(range(geom.n_sites), 2)
     return TaskPlan(meta, header, _row_jobs(row, pairs))
 
 
@@ -336,7 +346,8 @@ def _plan_thermal(cfg, params, *_) -> TaskPlan:
     point = _with_defaults(params, n=8, x=2.0, omega=1e-4, kt=2e-3)
 
     def job():
-        spec = _solve(float(point["x"]), linear_array(point["n"]), point["omega"])
+        geom = linear_array(point["n"])
+        spec = _solve(float(point["x"]), geom, point["omega"], "all")
         return [[*point.values(), thermal_excitation(spec, point["kt"])]]
 
     return TaskPlan({"geometry": "linear"}, [*point, "p_thermal"], [job])
@@ -350,7 +361,7 @@ def _plan_gap(cfg, params, *_) -> TaskPlan:
     def job():
         x = float(point["x"])
         dw = _qp(x).dw
-        gap = energy_gap(_solve(x, linear_array(point["n"]), point["omega"]))
+        gap = energy_gap(_solve(x, linear_array(point["n"]), point["omega"], 2))
         return [[*point.values(), gap, dw, abs(gap - dw) / dw]]
 
     return TaskPlan({"geometry": "linear"}, header, [job])
@@ -474,7 +485,7 @@ def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
         grid = [(float(x), omega) for x in x_values]
 
         def exact_and_fit(x: float, omega: float):
-            ground = _solve(x, linear_array(2), omega).eigenvectors[:, 0]
+            ground = _ground(x, linear_array(2), omega)
             return concurrence(reduce(ground, 0, 1)), c_fit(x, omega)
 
     def row(point):
@@ -619,6 +630,10 @@ CONFIG_SCHEMA = {
 }
 
 
+# tasks whose thermal sums need every level, hence a dense solve
+_FULL_SPECTRUM_TASKS = ("fig4b", "thermal", "sweep")
+
+
 def validate_config(cfg) -> list[str]:
     """All schema and consistency violations, empty when the config is good."""
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
@@ -649,6 +664,8 @@ def validate_config(cfg) -> list[str]:
     elif task == "sweep":
         out.append("sweep: task 'sweep' requires a sweep block")
     params = cfg.get("parameters", {})
+    # molecule count of a task without geometry; set below from a geometry
+    sites = None if entry.geometry else params.get("n")
     if task in ("compile-diagonal", "iqp"):
         sources = [
             k for k in ("phases", "phases_file", "random_qubits") if k in params
@@ -666,15 +683,28 @@ def validate_config(cfg) -> list[str]:
         out.append("geometry: custom geometry requires positions")
     elif entry.geometry is not None:
         try:
-            sites = _geometry(cfg)[0].n_sites
+            array, nn_only = _geometry(cfg)
+            pair_couplings(array, 1.0, nn_only)  # rejects coincident sites
         except ValueError as exc:
             out.append(f"geometry: {exc}")
         else:
+            sites = array.n_sites
             out += [
                 f"parameters/pairs: {p} is not two distinct sites of {sites}"
                 for p in params.get("pairs", [])
                 if p[0] == p[1] or max(p) >= sites
             ]
+        if entry.geometry[1] is not None and "n" in params:
+            out.append(
+                f"parameters/n: task {task!r} sizes its array from geometry; "
+                "set geometry.n instead"
+            )
+    if task in _FULL_SPECTRUM_TASKS and sites is not None and sites > DENSE_LIMIT:
+        out.append(
+            f"{'geometry' if entry.geometry else 'parameters/n'}: task {task!r} "
+            f"needs all 2^n levels, computed only up to n={DENSE_LIMIT}; "
+            f"got n={sites}"
+        )
     if task == "fit-residuals":
         # rel_error divides by the exact value, which is 0 at omega = 0 and
         # for one molecule; p_fit is undefined at x = 0
@@ -746,7 +776,7 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--workers",
         type=int,
-        help="parallel sweep workers (default: CPU count)",
+        help="parallel sweep workers (default: 1)",
     )
     p_run.add_argument(
         "--seed",
@@ -772,7 +802,7 @@ def main(argv=None) -> int:
             print(f"error: {v}", file=sys.stderr)
         return EXIT_CONFIG
     out_path = args.out or cfg.get("output") or f"{cfg['task']}.csv"
-    workers = args.workers or cfg.get("workers") or min(32, os.cpu_count() or 1)
+    workers = args.workers or cfg.get("workers") or 1
     return run(cfg, out_path, workers, args.seed)
 
 

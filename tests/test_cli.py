@@ -142,6 +142,26 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         ),
         ({"task": "fit-residuals", "parameters": {"n_values": [1]}}, "n_values"),
         ({"task": "fit-residuals", "parameters": {"x_values": [0]}}, "x_values"),
+        (
+            {
+                "task": "fig6a",
+                "geometry": {"kind": "custom", "positions": [[0, 0, 0], [0, 0, 0]]},
+            },
+            "coincide",
+        ),
+        ({"task": "fig5a", "parameters": {"n": 3}}, "geometry.n"),
+        ({"task": "fig6b", "parameters": {"n": 9}}, "geometry.n"),
+        # the thermal sum needs every level, which only the dense solver gives
+        ({"task": "fig4b", "parameters": {"n": 15}}, "2^n levels"),
+        ({"task": "thermal", "parameters": {"n": 15}}, "2^n levels"),
+        (
+            {
+                "task": "sweep",
+                "geometry": {"kind": "linear", "n": 15},
+                "sweep": {"parameter": "kt", "from": 0.01, "to": 0.02, "points": 2},
+            },
+            "2^n levels",
+        ),
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
@@ -383,3 +403,65 @@ def test_fig5a_honours_nearest_neighbors_only(tmp_path):
     (row01,) = [r for r in map_rows if r[:2] == ["0", "1"]]
     want = float(row01[map_header.index("concurrence")])
     assert float(rows[0][header.index("c_01")]) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cfg,k",
+    [
+        ({"task": "fig3a"}, 1),
+        ({"task": "fig3b"}, 1),
+        ({"task": "fig5a"}, 1),
+        ({"task": "fig5b"}, 1),
+        ({"task": "fig6a"}, 1),
+        ({"task": "fig6b"}, 1),
+        ({"task": "concurrence"}, 1),
+        ({"task": "fit-residuals", "parameters": {"which": "concurrence"}}, 1),
+        ({"task": "fig4a"}, 2),
+        ({"task": "gap"}, 2),
+        ({"task": "fig4b"}, "all"),
+        ({"task": "thermal"}, "all"),
+        (
+            {
+                "task": "sweep",
+                "sweep": {"parameter": "kt", "from": 0.01, "to": 0.02, "points": 2},
+            },
+            "all",
+        ),
+    ],
+)
+def test_tasks_request_only_the_eigenpairs_they_use(tmp_path, monkeypatch, cfg, k):
+    requested = []
+
+    def spy(h, k="all"):
+        requested.append(k)
+        return spectrum(h, k)
+
+    monkeypatch.setattr(cli, "spectrum", spy)
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert requested and set(requested) == {k}
+
+
+def test_concurrence_beyond_dense_limit_runs_matrix_free(tmp_path, monkeypatch):
+    matrix_free = []
+
+    def spy(h, k="all"):
+        matrix_free.append(h.matrix is None)
+        return spectrum(h, k)
+
+    monkeypatch.setattr(cli, "spectrum", spy)
+    c01 = {}
+    for n in (9, 15):
+        cfg = {
+            "task": "concurrence",
+            "geometry": {"kind": "linear", "n": n, "nearest_neighbors_only": True},
+            "parameters": {"pairs": [[0, 1]]},
+        }
+        out = tmp_path / f"c{n}.csv"
+        assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        meta, header, rows = read_csv(str(out))
+        assert meta["pairs"] == "0-1"
+        assert [r[:2] for r in rows] == [["0", "1"]]  # only the requested pair
+        c01[n] = float(rows[0][header.index("concurrence")])
+    assert matrix_free == [False, True]
+    assert c01[15] == pytest.approx(c01[9], rel=0.01)

@@ -144,6 +144,19 @@ def test_dense_and_iterative_modes_agree(qp):
         assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [2, 6, 9])
+def test_partial_dense_spectrum_matches_full(qp, chain_spectrum, n):
+    full = chain_spectrum(n, 2.0, 1e-3)
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(n), 1e-3), n)
+    for k in (1, 2):
+        part = spectrum(h, k)
+        assert not part.complete and part.eigenvectors.shape == (h.dim, k)
+        assert np.allclose(
+            part.eigenvalues, full.eigenvalues[:k], rtol=1e-12, atol=0.0
+        )
+        assert np.max(np.abs(part.eigenvectors[:, 0] - full.eigenvectors[:, 0])) < 1e-10
+
+
 def test_matrix_free_apply_matches_dense(qp):
     q = qp(4.9)
     coups = pair_couplings(linear_array(5), 2e-3)
@@ -174,6 +187,15 @@ def test_p_not_all_zero_basics(qp, chain_spectrum):
     p = p_not_all_zero(ground)
     assert 0.0 < p < 1.0
     assert p + abs(ground[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_p_not_all_zero_keeps_precision_at_weak_coupling(chain_spectrum):
+    # p ~ 1e-15 at Omega/B = 1e-7, where 1 - |v0|^2 keeps only a few bits
+    ratios = [
+        p_not_all_zero(chain_spectrum(6, 2.0, omega).eigenvectors[:, 0]) / omega**2
+        for omega in (1e-5, 1e-6, 1e-7)
+    ]
+    assert max(ratios) / min(ratios) - 1.0 < 1e-3
 
 
 def test_quadratic_coupling_ratio(chain_spectrum):
