@@ -123,12 +123,16 @@ def concurrence(rho) -> float:
             f"rho*rho_tilde eigenvalues have imaginary parts up to "
             f"{np.max(np.abs(ev.imag))}"
         )
-    re = ev.real
-    if np.min(re) <= _NEGATIVE_ERROR:
+    if np.min(ev.real) <= _NEGATIVE_ERROR:
         raise ConcurrenceNumericsError(
-            f"rho*rho_tilde eigenvalue {np.min(re)} below {_NEGATIVE_ERROR}"
+            f"rho*rho_tilde eigenvalue {np.min(ev.real)} below {_NEGATIVE_ERROR}"
         )
-    lam = np.sqrt(np.clip(re, 0.0, None))[np.argsort(re)[::-1]]
+    # The same lambdas are the singular values of tau = W^T (sy x sy) W with
+    # rho = W W^dagger.  Taking them from tau keeps C accurate near product
+    # states, where square roots of ~1e-16 eigenvalues would add ~1e-8 each.
+    w, v = np.linalg.eigh(m)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(root.T @ _SYSY @ root, compute_uv=False)
     return min(max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0), 1.0)
 
 
