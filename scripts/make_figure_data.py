@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate every figure CSV (fig3a..fig6b) into an output directory.
 
-Usage: python scripts/make_figure_data.py [outdir] [--workers K]
+Usage: PYTHONPATH=src python scripts/make_figure_data.py [outdir]
 """
 
 import argparse
@@ -18,7 +18,6 @@ FIGURE_TASKS = ("fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="figure_data")
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -30,10 +29,7 @@ def main() -> int:
             json.dump({"task": task}, f)
             cfg_path = f.name
         out = outdir / f"{task}.csv"
-        argv = ["run", cfg_path, "--out", str(out)]
-        if args.workers:
-            argv += ["--workers", str(args.workers)]
-        code = cli.main(argv)
+        code = cli.main(["run", cfg_path, "--out", str(out)])
         print(f"{task}: exit {code} -> {out}")
         status = status or code
     return status

@@ -22,8 +22,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -173,31 +172,19 @@ def _resolve_phases(params: dict, seed: int) -> tuple[DiagonalUnitary, dict]:
 
 
 class TaskPlan(NamedTuple):
-    """Metadata, CSV header, and deterministic jobs, each returning a list of rows."""
+    """Metadata, CSV header, and the data rows, computed lazily in order."""
 
     metadata: dict
     header: list[str]
-    jobs: list
+    rows: Iterable[list]
 
 
-def _row_jobs(row, values, xs=()) -> list:
-    """One job per value, returning [row(value)].
-
-    The qubit pairs at the fields `xs` are solved first, so that worker
-    threads never race each other to fill `_qp`.
-    """
-    for x in xs:
-        _qp(float(x))
-    return [functools.partial(lambda v: [row(v)], v) for v in values]
-
-
-def _sweep_plan(cfg, default, fixed, meta, header, row, xs=()) -> TaskPlan:
+def _sweep_plan(cfg, default, fixed, meta, header, row) -> TaskPlan:
     """Rows [value, *row(point)] along the task's sweep axis.
 
     `default` is the task's (from, to, points, scale) for a config without
     a sweep block.  Each point is `fixed` with the axis value set, and every
-    entry of `fixed` but the axis goes into `meta`.  The qubit pairs are
-    solved first along the axis if it is x, else at `xs` (default: fixed x).
+    entry of `fixed` but the axis goes into `meta`.
     """
     sweep = cfg.get("sweep")
     if sweep is None:
@@ -211,12 +198,11 @@ def _sweep_plan(cfg, default, fixed, meta, header, row, xs=()) -> TaskPlan:
         f"{axis} {sweep['from']}..{sweep['to']} points={sweep['points']} "
         f"scale={sweep.get('scale', 'linear')}"
     )
-    xs = values if axis == "x" else (xs or [fixed["x"]])
 
     def row_at(value: float):
         return [value, *row({**fixed, axis: value})]
 
-    return TaskPlan(meta, [axis, *header], _row_jobs(row_at, values, xs))
+    return TaskPlan(meta, [axis, *header], map(row_at, values))
 
 
 def _plan_p_vs_omega(cfg, params, *_) -> TaskPlan:
@@ -229,7 +215,7 @@ def _plan_p_vs_omega(cfg, params, *_) -> TaskPlan:
     def row(point):
         return [_p(x, n, point["omega"]) for x, n in curves]
 
-    return _sweep_plan(cfg, OMEGA_LOG, {}, meta, header, row, grid["x_values"])
+    return _sweep_plan(cfg, OMEGA_LOG, {}, meta, header, row)
 
 
 def _plan_p_vs_n(cfg, params, *_) -> TaskPlan:
@@ -246,7 +232,7 @@ def _plan_p_vs_n(cfg, params, *_) -> TaskPlan:
     def row(n: int):
         return [n] + [_p(x, n, omega) for x in x_values]
 
-    return TaskPlan(meta, header, _row_jobs(row, grid["n_values"], x_values))
+    return TaskPlan(meta, header, map(row, grid["n_values"]))
 
 
 def _plan_gap_vs_omega(cfg, params, *_) -> TaskPlan:
@@ -338,19 +324,19 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
         omega_ij, alpha_ij = (pc.omega, pc.alpha) if pc else (0.0, math.pi / 2)
         return [*pair, omega_ij, alpha_ij, c, entanglement_of_formation(c)]
 
-    return TaskPlan(meta, header, _row_jobs(row, pairs))
+    return TaskPlan(meta, header, map(row, pairs))
 
 
 def _plan_thermal(cfg, params, *_) -> TaskPlan:
     """Single-shot thermal excitation probability."""
     point = _with_defaults(params, n=8, x=2.0, omega=1e-4, kt=2e-3)
 
-    def job():
+    def rows():
         geom = linear_array(point["n"])
         spec = _solve(float(point["x"]), geom, point["omega"], "all")
-        return [[*point.values(), thermal_excitation(spec, point["kt"])]]
+        yield [*point.values(), thermal_excitation(spec, point["kt"])]
 
-    return TaskPlan({"geometry": "linear"}, [*point, "p_thermal"], [job])
+    return TaskPlan({"geometry": "linear"}, [*point, "p_thermal"], rows())
 
 
 def _plan_gap(cfg, params, *_) -> TaskPlan:
@@ -358,13 +344,13 @@ def _plan_gap(cfg, params, *_) -> TaskPlan:
     point = _with_defaults(params, n=2, x=2.0, omega=1e-4)
     header = [*point, "gap", "dw", "rel_dev"]
 
-    def job():
+    def rows():
         x = float(point["x"])
         dw = _qp(x).dw
         gap = energy_gap(_solve(x, linear_array(point["n"]), point["omega"], 2))
-        return [[*point.values(), gap, dw, abs(gap - dw) / dw]]
+        yield [*point.values(), gap, dw, abs(gap - dw) / dw]
 
-    return TaskPlan({"geometry": "linear"}, header, [job])
+    return TaskPlan({"geometry": "linear"}, header, rows())
 
 
 def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
@@ -385,7 +371,7 @@ def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
         "nearest_neighbor",
     ]
 
-    def job():
+    def rows():
         circ = compile_diagonal(d, eps)
         with open(circuit_out, "w", encoding="utf-8") as f:
             f.write(circuit_to_text(circ))
@@ -393,7 +379,7 @@ def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
         for b in range(1 << d.n):
             out = simulate(circ, StateVector.basis(d.n, b))
             errs.append(abs(out.amplitudes[b] - np.exp(1j * d.phases[b])))
-        row = [
+        yield [
             d.n,
             eps,
             circ.gate_count(),
@@ -402,9 +388,8 @@ def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
             max(errs),
             circ.nearest_neighbor,
         ]
-        return [row]
 
-    return TaskPlan(meta, header, [job])
+    return TaskPlan(meta, header, rows())
 
 
 def _plan_iqp(cfg, params, seed: int, *_) -> TaskPlan:
@@ -414,15 +399,15 @@ def _plan_iqp(cfg, params, seed: int, *_) -> TaskPlan:
     meta.update({"eps": eps, "n": d.n})
     header = ["n", "p_analytic", "p_circuit", "abs_diff"]
 
-    def job():
+    def rows():
         p_exact = iqp_probability(d)
         h_layer = Circuit(n=d.n, gates=tuple(Gate("H", (q,)) for q in range(d.n)))
         circ = h_layer.then(compile_diagonal(d, eps)).then(h_layer)
         amp = simulate(circ).amplitudes[0]
         p_sim = float(abs(amp) ** 2)
-        return [[d.n, p_exact, p_sim, abs(p_exact - p_sim)]]
+        yield [d.n, p_exact, p_sim, abs(p_exact - p_sim)]
 
-    return TaskPlan(meta, header, [job])
+    return TaskPlan(meta, header, rows())
 
 
 def _cluster_edges(params: dict) -> tuple[list[tuple[int, int]], int, str]:
@@ -452,7 +437,7 @@ def _plan_cluster_check(cfg, params, *_) -> TaskPlan:
     checks = cluster_stabilizer_check(state, edges)
     header = ["vertex", "stabilizer_expectation"]
     meta = {"graph": label, "n": n, "edges": _join(f"{a}-{b}" for a, b in edges)}
-    return TaskPlan(meta, header, _row_jobs(lambda a: [a, checks[a]], range(n)))
+    return TaskPlan(meta, header, ([a, checks[a]] for a in range(n)))
 
 
 def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
@@ -492,7 +477,7 @@ def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
         exact, fit = exact_and_fit(*point)
         return [*point, exact, fit, abs(fit - exact) / abs(exact)]
 
-    return TaskPlan(meta, header + ["rel_error"], _row_jobs(row, grid, x_values))
+    return TaskPlan(meta, header + ["rel_error"], map(row, grid))
 
 
 def _plan_nmr_cnot(cfg, params, *_) -> TaskPlan:
@@ -507,9 +492,9 @@ def _plan_nmr_cnot(cfg, params, *_) -> TaskPlan:
         "phase_target_z",
     ]
 
-    def job():
+    def rows():
         rep = nmr_cnot_sequence(**args)
-        row = [
+        yield [
             rep.dw_shift,
             rep.angular_frequency,
             rep.wait_scale,
@@ -517,9 +502,8 @@ def _plan_nmr_cnot(cfg, params, *_) -> TaskPlan:
             rep.deviation,
             *rep.phases,
         ]
-        return [row]
 
-    return TaskPlan({}, header, [job])
+    return TaskPlan({}, header, rows())
 
 
 class Task(NamedTuple):
@@ -625,7 +609,6 @@ CONFIG_SCHEMA = {
             },
         },
         "output": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1},
     },
 }
 
@@ -732,7 +715,7 @@ def _write_csv(path, task, metadata, header, rows, failure=None) -> None:
             writer.writerow(["FAILED", failure])
 
 
-def run(cfg: dict, out_path: str, workers: int, seed: int) -> int:
+def run(cfg: dict, out_path: str, seed: int) -> int:
     """Execute a validated config; returns the process exit code."""
     task = cfg["task"]
     try:
@@ -750,9 +733,8 @@ def run(cfg: dict, out_path: str, workers: int, seed: int) -> int:
     rows = []
     failure = None
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for job_rows in pool.map(lambda jb: jb(), plan.jobs):
-                rows.extend(job_rows)
+        for row in plan.rows:
+            rows.append(row)
     except Exception as exc:  # noqa: BLE001 - every solver failure maps to exit 3
         failure = f"{type(exc).__name__}: {exc}"
     _write_csv(out_path, task, plan.metadata, plan.header, rows, failure)
@@ -773,11 +755,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a task config and write CSV")
     p_run.add_argument("config", help="path to JSON config")
     p_run.add_argument("--out", help="output CSV path (default: <task>.csv)")
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        help="parallel sweep workers (default: 1)",
-    )
     p_run.add_argument(
         "--seed",
         type=int,
@@ -802,8 +779,7 @@ def main(argv=None) -> int:
             print(f"error: {v}", file=sys.stderr)
         return EXIT_CONFIG
     out_path = args.out or cfg.get("output") or f"{cfg['task']}.csv"
-    workers = args.workers or cfg.get("workers") or 1
-    return run(cfg, out_path, workers, args.seed)
+    return run(cfg, out_path, args.seed)
 
 
 if __name__ == "__main__":

@@ -350,8 +350,8 @@ def test_14_every_figure_task_reruns_byte_identical(tmp_path):
         cfg.write_text(json.dumps({"task": task}))
         a = tmp_path / f"{task}_a.csv"
         b = tmp_path / f"{task}_b.csv"
-        assert cli.main(["run", str(cfg), "--out", str(a), "--workers", "4"]) == 0
-        assert cli.main(["run", str(cfg), "--out", str(b), "--workers", "2"]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(a)]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(b)]) == 0
         if a.read_bytes() != b.read_bytes():
             mismatched.append(task)
     report(

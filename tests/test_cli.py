@@ -162,6 +162,7 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             },
             "2^n levels",
         ),
+        ({"task": "fig3a", "workers": 2}, "'workers' was unexpected"),
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
@@ -222,8 +223,8 @@ def test_reruns_are_byte_identical(tmp_path):
         },
     )
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(["run", cfg, "--out", str(a), "--workers", "1"]) == 0
-    assert cli.main(["run", cfg, "--out", str(b), "--workers", "4"]) == 0
+    assert cli.main(["run", cfg, "--out", str(a)]) == 0
+    assert cli.main(["run", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     meta, header, rows = read_csv(str(a))
     assert header[0] == "omega"
@@ -244,6 +245,28 @@ def test_solver_failure_writes_sentinel(tmp_path, monkeypatch, capsys):
     assert rows[-1][0] == "FAILED"
     assert "SolverError" in rows[-1][1]
     assert "error" in capsys.readouterr().err
+
+
+def test_failing_row_keeps_the_rows_before_it(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fail_third(h, k="all"):
+        calls.append(k)
+        if len(calls) == 3:
+            raise SolverError("eigensolver did not converge")
+        return spectrum(h, k)
+
+    monkeypatch.setattr(cli, "spectrum", fail_third)
+    cfg = write_cfg(tmp_path, {"task": "fig3b", "parameters": {"x_values": [2.0]}})
+    out = tmp_path / "fig3b.csv"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 3
+    meta, header, rows = read_csv(str(out))
+    assert meta["task"] == "fig3b" and meta["x_values"] == "2.0"
+    assert header == ["n", "p_x2.0"]
+    assert [r[0] for r in rows[:2]] == ["2", "3"]
+    assert rows[2] == ["FAILED", "SolverError: eigensolver did not converge"]
+    assert len(rows) == 3
+    assert "partial results" in capsys.readouterr().err
 
 
 def test_compile_diagonal_writes_circuit_file(tmp_path):
