@@ -32,6 +32,7 @@ from .circuits import (
     DiagonalUnitary,
     StateVector,
     circuit_to_text,
+    cluster_circuit,
     cluster_stabilizer_check,
     compile_diagonal,
     iqp_probability,
@@ -412,8 +413,9 @@ def _plan_iqp(cfg, params, seed: int, *_) -> TaskPlan:
 
 def _cluster_edges(params: dict) -> tuple[list[tuple[int, int]], int, str]:
     if "edges" in params:
-        n = params.get("n", 1 + max(max(e) for e in params["edges"]))
-        return [tuple(e) for e in params["edges"]], n, "custom"
+        edges = [tuple(e) for e in params["edges"]]
+        n = params["n"] if "n" in params else 1 + max(map(max, edges), default=-1)
+        return edges, n, "custom"
     kind = params.get("graph", "chain")
     if kind == "chain":
         n = params.get("n", 3)
@@ -545,7 +547,10 @@ def _array(items: dict, size: int | None = None, min_items: int = 1) -> dict:
     return {"type": "array", "minItems": min_items, "items": items}
 
 
+# most molecules or qubits a config may ask for
+MAX_QUBITS = 24
 _NUMBER = {"type": "number"}
+_COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_QUBITS}
 _PAIR = _array({"type": "integer", "minimum": 0}, 2)
 
 CONFIG_SCHEMA = {
@@ -561,7 +566,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["linear", "square", "custom"]},
-                "n": {"type": "integer", "minimum": 1, "maximum": 24},
+                "n": _COUNT,
                 "rows": {"type": "integer", "minimum": 1},
                 "cols": {"type": "integer", "minimum": 1},
                 "positions": _array(_array(_NUMBER, 3)),
@@ -588,17 +593,17 @@ CONFIG_SCHEMA = {
                 "x": {"type": "number", "minimum": 0},
                 "omega": {"type": "number", "minimum": 0},
                 "kt": {"type": "number", "minimum": 0},
-                "n": {"type": "integer", "minimum": 1, "maximum": 24},
+                "n": _COUNT,
                 "eps": {"type": "number", "exclusiveMinimum": 0},
                 "rows": {"type": "integer", "minimum": 1},
                 "cols": {"type": "integer", "minimum": 1},
-                "n_values": _array({"type": "integer", "minimum": 1, "maximum": 24}),
+                "n_values": _array(_COUNT),
                 "x_values": _array({"type": "number", "minimum": 0}),
                 "omega_values": _array({"type": "number", "minimum": 0}),
                 "pairs": _array(_PAIR),
                 "phases": _array(_NUMBER, min_items=2),
                 "phases_file": {"type": "string"},
-                "random_qubits": {"type": "integer", "minimum": 1, "maximum": 24},
+                "random_qubits": _COUNT,
                 "edges": {"type": "array", "items": _PAIR},
                 "graph": {"enum": ["chain", "grid"]},
                 "dw_shift": {"type": "number", "exclusiveMinimum": 0},
@@ -698,6 +703,15 @@ def validate_config(cfg) -> list[str]:
         for key, bad in excluded:
             if bad in np.atleast_1d(params.get(key, [])):
                 out.append(f"parameters/{key}: fit-residuals cannot take {bad}")
+    if task == "cluster-check":
+        edges, n, _ = _cluster_edges(params)
+        if n > MAX_QUBITS:
+            out.append(f"parameters: graph has {n} vertices, more than {MAX_QUBITS}")
+        else:
+            try:
+                cluster_circuit(edges, n)  # rejects self-loops, repeats, out of range
+            except ValueError as exc:
+                out.append(f"parameters: {exc}")
     return out
 
 

@@ -163,6 +163,24 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             "2^n levels",
         ),
         ({"task": "fig3a", "workers": 2}, "'workers' was unexpected"),
+        # cluster-check graphs that cannot be prepared
+        ({"task": "cluster-check", "parameters": {"edges": []}}, "at least one qubit"),
+        ({"task": "cluster-check", "parameters": {"edges": [[1, 1]]}}, "self-loop"),
+        (
+            {"task": "cluster-check", "parameters": {"edges": [[0, 1], [1, 0]]}},
+            "repeated edge",
+        ),
+        (
+            {"task": "cluster-check", "parameters": {"edges": [[0, 5]], "n": 3}},
+            "out of range",
+        ),
+        (
+            {
+                "task": "cluster-check",
+                "parameters": {"graph": "grid", "rows": 5, "cols": 5},
+            },
+            "25 vertices",
+        ),
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
