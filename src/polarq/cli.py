@@ -274,6 +274,7 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
     meta = {
         "geometry": _geom_label(geom),
         "pairs": _join(f"{i}-{j}" for i, j in pairs),
+        "nearest_neighbors_only": nn_only,
     }
 
     def row(point):
