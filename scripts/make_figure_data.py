@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate every figure CSV (fig3a..fig6b) into an output directory.
 
-Usage: PYTHONPATH=src python scripts/make_figure_data.py [outdir]
+Usage: python scripts/make_figure_data.py [outdir]
 """
 
 import argparse
