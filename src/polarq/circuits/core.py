@@ -5,6 +5,20 @@ the most significant bit of the basis index, matching the many-body module,
 so reshaping an amplitude vector to [2]*n puts qubit q on axis q.
 RZ(theta) = diag(e^{-i theta/2}, e^{+i theta/2}).
 
+Simulation goes run by run.  Every gate but H sends a basis state to one
+basis state times a phase, so a maximal run of non-H gates is an affine
+map x -> Mx ^ f over GF(2) with a phase polynomial
+phi(x) = c_0 + sum_s c_s (-1)^{popcount(s & x)} (Amy, Azimzadeh & Mosca,
+arXiv:1712.01859).  One Python pass over the run's gates builds M, f and
+the coefficients c_s.  The state then takes one in-place multiply per
+phase table and at most one permutation: a transposed copy when M only
+moves wires, one block copy per setting of the input bits M mixes when
+those blocks are large, one scatter through an index array otherwise.
+Each H is one butterfly.  A run of g gates thus costs O(g) Python steps
+and a few passes over the 2^n amplitudes; a phase table over k qubits
+costs O(min(terms, k) 2^k) to build, and k is capped near n - 6 for large
+n by splitting a run's terms over several tables.
+
 Circuits serialize one gate per line as ``GATE q[,q2][,theta]`` under a
 ``# qubits=N`` header; the round-trip is exact because angles are written
 with repr.
@@ -13,17 +27,16 @@ with repr.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SINGLE_QUBIT_GATES = ("H", "X", "Z", "RZ")
 TWO_QUBIT_GATES = ("CNOT", "CZ", "SWAP")
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class CircuitError(ValueError):
@@ -95,7 +108,11 @@ class Circuit:
     def then(self, other: "Circuit") -> "Circuit":
         if other.n != self.n:
             raise CircuitError(f"cannot join circuits on {self.n} and {other.n} qubits")
-        return Circuit(n=self.n, gates=self.gates + other.gates)
+        # both operands were validated on the same n; skip re-checking
+        joined = object.__new__(Circuit)
+        object.__setattr__(joined, "n", self.n)
+        object.__setattr__(joined, "gates", self.gates + other.gates)
+        return joined
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,60 +139,255 @@ class StateVector:
         return cls(n=n, amplitudes=amp)
 
 
-def _apply_single(amp: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = amp.reshape([2] * n)
-    t = np.moveaxis(np.tensordot(u, t, axes=(1, q)), 0, q)
-    return t.reshape(-1)
+def fwht(a) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a length-2^m vector.
+
+    out[x] = sum_s a[s] (-1)^{popcount(s & x)}, computed as m in-place
+    reshape butterflies (x, y) -> (x + y, x - y) on a float copy of a.
+    """
+    out = np.array(a, dtype=float)
+    h = 1
+    while h < out.shape[0]:
+        v = out.reshape(-1, 2, h)
+        x = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(x, v[:, 1], out=v[:, 1])
+        h *= 2
+    return out
 
 
-def _apply_gate(amp: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    if g.name == "H":
-        return _apply_single(amp, _H, g.qubits[0], n)
-    if g.name == "X":
-        return _apply_single(amp, _X, g.qubits[0], n)
-    if g.name == "Z":
-        return _apply_single(amp, _Z, g.qubits[0], n)
-    if g.name == "RZ":
-        rz = np.array(
-            [[cmath.exp(-0.5j * g.theta), 0.0], [0.0, cmath.exp(0.5j * g.theta)]]
-        )
-        return _apply_single(amp, rz, g.qubits[0], n)
-    if g.name == "PHASE":
-        return amp * cmath.exp(1j * g.theta)
-    if g.name == "CNOT":
-        c, t = g.qubits
-        a = amp.reshape([2] * n).copy()
-        sel: list = [slice(None)] * n
-        sel[c] = 1
-        # axis t shifts down by one inside the control=1 slice when t > c
-        a[tuple(sel)] = np.flip(a[tuple(sel)], axis=t if t < c else t - 1)
-        return a.reshape(-1)
-    if g.name == "CZ":
-        a, b = g.qubits
-        t = amp.reshape([2] * n).copy()
-        sel = [slice(None)] * n
-        sel[a] = 1
-        sel[b] = 1
-        t[tuple(sel)] = -t[tuple(sel)]
-        return t.reshape(-1)
-    if g.name == "SWAP":
-        a, b = g.qubits
-        return np.swapaxes(amp.reshape([2] * n), a, b).reshape(-1)
-    raise CircuitError(f"unknown gate {g.name!r}")
+def _apply_h(amp: np.ndarray, q: int, n: int, out: np.ndarray) -> None:
+    """out = H on qubit q of amp, as one butterfly."""
+    v = amp.reshape(1 << q, 2, -1)
+    w = out.reshape(v.shape)
+    np.add(v[:, 0], v[:, 1], out=w[:, 0])
+    np.subtract(v[:, 0], v[:, 1], out=w[:, 1])
+    out *= _SQRT_HALF
+
+
+def _walk(gates, start: int, n: int):
+    """Fold the gates from index start up to the next H into one affine map.
+
+    Every gate but H sends a basis state x to a basis state y(x) times a
+    phase exp(i phi(x)).  Output wire q carries
+    y_q = parity(masks[q] & x) ^ flips[q], and phi(x) is const plus the
+    Walsh terms c_s (-1)^{popcount(s & x)} in terms.  A wire bit v with
+    mask m and flip f is (1 - (-1)^f chi_m) / 2, and CZ uses
+    v_a v_b = (v_a + v_b - v_a xor v_b) / 2.  Masks use the basis-index
+    bit of each qubit (qubit 0 = most significant).
+
+    Returns (index of that H or len(gates), masks, flips, terms, const).
+    """
+    masks = [1 << (n - 1 - q) for q in range(n)]
+    flips = [0] * n
+    terms: dict[int, float] = {}
+    const = 0.0
+    quarter = 0.25 * math.pi
+    stop = start
+    while stop < len(gates):
+        g = gates[stop]
+        name, qs = g.name, g.qubits
+        if name == "H":
+            break
+        stop += 1
+        if name == "CNOT":
+            c, t = qs
+            masks[t] ^= masks[c]
+            flips[t] ^= flips[c]
+        elif name == "RZ":
+            q = qs[0]
+            m = masks[q]
+            terms[m] = terms.get(m, 0.0) + (0.5 if flips[q] else -0.5) * g.theta
+        elif name == "X":
+            flips[qs[0]] ^= 1
+        elif name == "SWAP":
+            a, b = qs
+            masks[a], masks[b] = masks[b], masks[a]
+            flips[a], flips[b] = flips[b], flips[a]
+        elif name == "CZ":
+            a, b = qs
+            sa = -quarter if flips[a] else quarter
+            sb = -quarter if flips[b] else quarter
+            ma, mb = masks[a], masks[b]
+            terms[ma] = terms.get(ma, 0.0) - sa
+            terms[mb] = terms.get(mb, 0.0) - sb
+            sab = quarter if sa == sb else -quarter
+            terms[ma ^ mb] = terms.get(ma ^ mb, 0.0) + sab
+            const += quarter
+        elif name == "Z":
+            q = qs[0]
+            m = masks[q]
+            terms[m] = terms.get(m, 0.0) + (0.5 if flips[q] else -0.5) * math.pi
+            const += 0.5 * math.pi
+        elif name == "PHASE":
+            const += g.theta
+        else:
+            raise CircuitError(f"unknown gate {name!r}")
+    return stop, masks, flips, terms, const
+
+
+def _qubits_of(mask: int, n: int) -> list[int]:
+    return [q for q in range(n) if mask >> (n - 1 - q) & 1]
+
+
+def _on_qubits(values, qubits: list[int], n: int) -> np.ndarray:
+    """Reshape a length-2^len(qubits) table to broadcast over [2] * n."""
+    shape = [1] * n
+    for q in qubits:
+        shape[q] = 2
+    return np.asarray(values).reshape(shape)
+
+
+def _phase_table(support: int, terms: dict, n: int) -> np.ndarray:
+    """exp(i sum_s c_s chi_s) on the qubits of support, ready to broadcast.
+
+    Fewer terms than qubits are summed directly; otherwise one FWHT of the
+    coefficient vector gives every phase.
+    """
+    qubits = _qubits_of(support, n)
+    if len(terms) < len(qubits):
+        sub = np.zeros(1, dtype=np.int64)
+        for q in qubits:
+            sub = (sub[:, None] | np.array([0, 1 << (n - 1 - q)])).reshape(-1)
+        phase = np.zeros(sub.shape)
+        for s, c in terms.items():
+            phase += np.where(np.bitwise_count(sub & s) & 1, -c, c)
+    else:
+        coef = np.zeros(1 << len(qubits))
+        for s, c in terms.items():
+            u = 0
+            for q in qubits:
+                u = (u << 1) | (s >> (n - 1 - q) & 1)
+            coef[u] += c
+        phase = fwht(coef)
+    return _on_qubits(np.exp(1j * phase), qubits, n)
+
+
+# A run's phase is split into tables over at most max(_TABLE_BITS, n - 6)
+# qubits each, so that no table costs more than a small part of one pass
+# over the state.
+_TABLE_BITS = 12
+
+
+def _phase_tables(terms: dict, n: int) -> list[np.ndarray]:
+    """Broadcastable factors whose product is exp(i sum_s c_s chi_s).
+
+    Terms are packed first-fit into tables over few qubits.  If that takes
+    more tables than one FWHT over all their qubits costs passes, one table
+    is used instead.
+    """
+    cap = max(_TABLE_BITS, n - 6)
+    groups: list[list] = []
+    for s, c in terms.items():
+        for grp in groups:
+            if (grp[0] | s).bit_count() <= cap:
+                grp[0] |= s
+                grp[1][s] = c
+                break
+        else:
+            groups.append([s, {s: c}])
+    if len(groups) > n:
+        support = 0
+        for s in terms:
+            support |= s
+        groups = [[support, terms]]
+    return [_phase_table(sup, ts, n) for sup, ts in groups]
+
+
+# _permute copies blocks of at least 2^_BLOCK_BITS amplitudes, one per
+# setting of the input bits whose column the run changed, when the blocks
+# are that large; otherwise it scatters through an index array.
+_BLOCK_BITS = 10
+
+
+def _permute(
+    amp: np.ndarray, masks: list[int], flips: list[int], n: int, out: np.ndarray
+) -> None:
+    """out[y(x)] = amp[x] for the affine map y of _walk."""
+    identity = [1 << (n - 1 - q) for q in range(n)]
+    if all(m.bit_count() == 1 for m in masks):
+        # a wire permutation and bit flips: copy a transposed, flipped view
+        t = np.transpose(amp.reshape([2] * n), [n - m.bit_length() for m in masks])
+        np.copyto(out.reshape([2] * n), np.flip(t, [q for q in range(n) if flips[q]]))
+        return
+    # y = x ^ F ^ xor_j x_j (col_j ^ e_j) over the columns j of the
+    # linear part that differ from the identity
+    cols = [0] * n
+    for q, m in enumerate(masks):
+        for j in _qubits_of(m, n):
+            cols[j] |= identity[q]
+    changed = [j for j in range(n) if cols[j] != identity[j]]
+    flip = sum(identity[q] for q in range(n) if flips[q])
+    if n - len(changed) >= _BLOCK_BITS:
+        # one flipped block copy per setting of the changed input bits
+        src, dst = amp.reshape([2] * n), out.reshape([2] * n)
+        rest = [q for q in range(n) if q not in changed]
+        for bits in itertools.product((0, 1), repeat=len(changed)):
+            d = flip
+            for j, b in zip(changed, bits):
+                if b:
+                    d ^= cols[j] ^ identity[j]
+            x_sel: list = [slice(None)] * n
+            y_sel: list = [slice(None)] * n
+            for j, b in zip(changed, bits):
+                x_sel[j] = b
+                y_sel[j] = b ^ (d >> (n - 1 - j) & 1)
+            axes = [k for k, q in enumerate(rest) if d & identity[q]]
+            dst[tuple(y_sel)] = np.flip(src[tuple(x_sel)], axes)
+        return
+    delta = np.array([flip])
+    for j in changed:
+        delta = (delta[:, None] ^ np.array([0, cols[j] ^ identity[j]])).reshape(-1)
+    y = np.arange(1 << n).reshape([2] * n)
+    y ^= _on_qubits(delta, changed, n)
+    out[y.reshape(-1)] = amp
 
 
 def simulate(circuit: Circuit, state: StateVector | None = None) -> StateVector:
-    """Apply the circuit gate by gate; defaults to the |00...0> input."""
+    """Run the circuit on a state; defaults to the |00...0> input.
+
+    Each maximal run of gates other than H is one in-place phase step and
+    at most one permutation (see _walk); each H is one butterfly.  Two
+    buffers of 2^n amplitudes serve the whole circuit.
+    """
     if state is None:
         state = StateVector.basis(circuit.n)
     if state.n != circuit.n:
         raise CircuitError(
             f"state on {state.n} qubits does not match circuit on {circuit.n}"
         )
-    amp = state.amplitudes
-    for g in circuit.gates:
-        amp = _apply_gate(amp, g, circuit.n)
-    return StateVector(n=circuit.n, amplitudes=amp)
+    n, gates = circuit.n, circuit.gates
+    identity = [1 << (n - 1 - q) for q in range(n)]
+    # amp is the caller's array until the first step writes a new one
+    amp, spare = state.amplitudes, None
+    i = 0
+    while True:
+        stop, masks, flips, terms, const = _walk(gates, i, n)
+        tables = _phase_tables({s: c for s, c in terms.items() if c}, n)
+        if const:
+            tables = tables or [np.ones(())]
+            tables[0] = tables[0] * cmath.exp(1j * const)
+        for table in tables:
+            t = amp.reshape([2] * n)
+            if amp is state.amplitudes:
+                amp = (t * table).reshape(-1)
+            else:
+                t *= table
+        if masks != identity or any(flips):
+            spare = _scratch(spare, state.amplitudes)
+            _permute(amp, masks, flips, n, spare)
+            amp, spare = spare, amp
+        if stop == len(gates):
+            return StateVector(n=n, amplitudes=amp)
+        spare = _scratch(spare, state.amplitudes)
+        _apply_h(amp, gates[stop].qubits[0], n, spare)
+        amp, spare = spare, amp
+        i = stop + 1
+
+
+def _scratch(spare: np.ndarray | None, keep: np.ndarray) -> np.ndarray:
+    """spare, or a new buffer like keep when there is none to overwrite."""
+    return np.empty_like(keep) if spare is None or spare is keep else spare
 
 
 def _check_graph(edges, n: int) -> list[tuple[int, int]]:
@@ -213,12 +425,15 @@ def cluster_stabilizer_check(state: StateVector, edges) -> list[float]:
     for a, b in es:
         neighbors[a].append(b)
         neighbors[b].append(a)
+    amp = state.amplitudes
+    index = np.arange(1 << state.n)
     out = []
     for a in range(state.n):
-        phi = _apply_single(state.amplitudes, _X, a, state.n)
-        for b in neighbors[a]:
-            phi = _apply_single(phi, _Z, b, state.n)
-        out.append(float(np.vdot(state.amplitudes, phi).real))
+        # (X_a prod_b Z_b psi)[y] = (-1)^{popcount(y & N(a))} psi[y ^ e_a]
+        nbrs = sum(1 << (state.n - 1 - b) for b in neighbors[a])
+        sign = np.where(np.bitwise_count(index & nbrs) & 1, -1.0, 1.0)
+        moved = amp[index ^ (1 << (state.n - 1 - a))]
+        out.append(float(np.vdot(amp, sign * moved).real))
     return out
 
 

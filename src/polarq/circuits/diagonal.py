@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circuit, CircuitError, Gate
+from .core import Circuit, CircuitError, Gate, fwht
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,17 +57,7 @@ class DiagonalUnitary:
 
 def walsh_coefficients(d: DiagonalUnitary) -> np.ndarray:
     """a_s with theta_b = sum_s a_s (-1)^{popcount(s & b)}."""
-    a = d.phases.astype(float).copy()
-    h = 1
-    size = a.shape[0]
-    while h < size:
-        for i in range(0, size, 2 * h):
-            x = a[i : i + h].copy()
-            y = a[i + h : i + 2 * h].copy()
-            a[i : i + h] = x + y
-            a[i + h : i + 2 * h] = x - y
-        h *= 2
-    return a / size
+    return fwht(d.phases) / d.phases.shape[0]
 
 
 def long_range_cnot(control: int, target: int, n: int) -> Circuit:
@@ -83,6 +73,11 @@ def long_range_cnot(control: int, target: int, n: int) -> Circuit:
         raise CircuitError(f"control and target coincide at {control}")
     if not (0 <= control < n and 0 <= target < n):
         raise CircuitError(f"({control}, {target}) out of range for n={n}")
+    return Circuit(n=n, gates=tuple(_cnot_walk(control, target)))
+
+
+def _cnot_walk(control: int, target: int) -> list[Gate]:
+    """Gates of long_range_cnot for indices it has already checked."""
     step = 1 if target > control else -1
     walk = []
     pos = control
@@ -93,8 +88,7 @@ def long_range_cnot(control: int, target: int, n: int) -> Circuit:
             Gate("CNOT", (pos, pos + step)),
         ]
         pos += step
-    gates = walk + [Gate("CNOT", (pos, target))] + walk[::-1]
-    return Circuit(n=n, gates=tuple(gates))
+    return walk + [Gate("CNOT", (pos, target))] + walk[::-1]
 
 
 def compile_diagonal(d: DiagonalUnitary, eps: float) -> Circuit:
@@ -127,7 +121,7 @@ def compile_diagonal(d: DiagonalUnitary, eps: float) -> Circuit:
         target = qs[0]
         ladder: list[Gate] = []
         for q in qs[1:]:
-            ladder += list(long_range_cnot(q, target, n).gates)
+            ladder += _cnot_walk(q, target)
         gates += ladder
         gates.append(Gate("RZ", (target,), -2.0 * float(a[s])))
         gates += ladder[::-1]

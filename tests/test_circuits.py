@@ -22,6 +22,7 @@ from polarq.circuits import (
     prepare_cluster_state,
     simulate,
 )
+from polarq.circuits import DiagonalUnitary, compile_diagonal, core
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]])
@@ -261,3 +262,142 @@ def test_serialization_round_trip_random(circuit):
 def test_simulation_preserves_norm(circuit):
     out = simulate(circuit)
     assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+
+def kron_gate(g, n):
+    """Dense unitary of one gate from the 2x2 / 4x4 matrices, no simulate."""
+    if g.name == "PHASE":
+        return np.exp(1j * g.theta) * np.eye(1 << n)
+    if g.name in ("CNOT", "CZ", "SWAP"):
+        return kron_2q(g.name, *g.qubits, n)
+    u = {"H": H, "X": X, "Z": Z}.get(g.name)
+    return kron_1q(rz(g.theta) if u is None else u, g.qubits[0], n)
+
+
+def kron_circuit(circuit):
+    u = np.eye(1 << circuit.n, dtype=complex)
+    for g in circuit.gates:
+        u = kron_gate(g, circuit.n) @ u
+    return u
+
+
+def structured_circuit(rng, n):
+    """Runs of non-H gates between H gates, some runs empty.
+
+    Each run mixes X and SWAP (flips and wire moves), RZ right after X on
+    the same wire (the flipped sign), and CZ right after CNOT on the same
+    pair (terms on a combined mask).
+    """
+    def pair():
+        a, b = rng.choice(n, 2, replace=False)
+        return int(a), int(b)
+
+    gates = []
+    for _ in range(int(rng.integers(1, 5))):
+        for _ in range(int(rng.integers(0, 9))):
+            q = int(rng.integers(n))
+            theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+            kind = rng.integers(8 if n > 1 else 4)
+            if kind == 0:
+                gates.append(Gate("X", (q,)))
+            elif kind == 1:
+                gates += [Gate("X", (q,)), Gate("RZ", (q,), theta)]
+            elif kind == 2:
+                gates.append(Gate("Z", (q,)))
+            elif kind == 3:
+                gates.append(Gate("PHASE", (), theta))
+            elif kind == 4:
+                gates.append(Gate("SWAP", pair()))
+            elif kind == 5:
+                a, b = pair()
+                gates += [Gate("CNOT", (a, b)), Gate("CZ", (a, b))]
+            elif kind == 6:
+                gates.append(Gate("CNOT", pair()))
+            else:
+                gates.append(Gate("CZ", pair()))
+        for _ in range(int(rng.integers(0, 3))):
+            gates.append(Gate("H", (int(rng.integers(n)),)))
+    return Circuit(n=n, gates=tuple(gates))
+
+
+def random_state(rng, n):
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n=n, amplitudes=amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_simulate_matches_kron_product_unitary(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(30):
+        circuit = structured_circuit(rng, n)
+        u = kron_circuit(circuit)
+        for _ in range(3):
+            state = random_state(rng, n)
+            got = simulate(circuit, state).amplitudes
+            assert np.max(np.abs(got - u @ state.amplitudes)) < 1e-12
+
+
+def test_simulate_small_tables_and_blocks_match_kron(monkeypatch):
+    """The paths large n takes, forced at small n.
+
+    Phase tables over at most two qubits (split runs and the one-table
+    fallback) and permutations by block copies.
+    """
+    monkeypatch.setattr(core, "_TABLE_BITS", 2)
+    monkeypatch.setattr(core, "_BLOCK_BITS", 1)
+    rng = np.random.default_rng(7)
+    for n in (5, 6):
+        for _ in range(30):
+            circuit = structured_circuit(rng, n)
+            state = random_state(rng, n)
+            want = kron_circuit(circuit) @ state.amplitudes
+            assert np.max(np.abs(simulate(circuit, state).amplitudes - want)) < 1e-12
+
+
+def test_simulate_leaves_the_input_state_alone():
+    state = StateVector(n=2, amplitudes=np.array([0.6, 0.0, 0.0, 0.8j]))
+    before = state.amplitudes.copy()
+    gates = (Gate("RZ", (0,), 0.3), Gate("CNOT", (0, 1)), Gate("H", (1,)))
+    c = Circuit(n=2, gates=gates)
+    simulate(c, state)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_stabilizer_check_matches_dense_operators():
+    rng = np.random.default_rng(3)
+    for n in range(1, 6):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = [e for e in pairs if rng.random() < 0.5]
+        state = random_state(rng, n)
+        want = []
+        for a in range(n):
+            k = kron_1q(X, a, n)
+            for b in {b for e in edges if a in e for b in e if b != a}:
+                k = kron_1q(Z, b, n) @ k
+            want.append(float(np.vdot(state.amplitudes, k @ state.amplitudes).real))
+        got = cluster_stabilizer_check(state, edges)
+        assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+
+def test_joining_and_compiling_check_each_gate_once(monkeypatch):
+    calls = []
+    check = core._check_gate
+
+    def counting(g, n):
+        calls.append(g)
+        check(g, n)
+
+    monkeypatch.setattr(core, "_check_gate", counting)
+    n = 5
+    theta = np.random.default_rng(1).uniform(-np.pi, np.pi, 1 << n)
+    d = DiagonalUnitary.from_phases(theta)
+    h_layer = Circuit(n=n, gates=tuple(Gate("H", (q,)) for q in range(n)))
+    compiled = compile_diagonal(d, 1e-10)
+    assert len(calls) == n + compiled.gate_count()
+    joined = h_layer.then(compiled).then(h_layer)
+    assert len(calls) == n + compiled.gate_count()
+    assert joined.gates == h_layer.gates + compiled.gates + h_layer.gates
+    with pytest.raises(CircuitError):
+        h_layer.then(Circuit(n=n + 1, gates=()))
+    circuit_from_text(circuit_to_text(compiled))
+    assert len(calls) == n + 2 * compiled.gate_count()

@@ -54,6 +54,29 @@ def test_walsh_coefficients_invert_parity_expansion():
         assert np.allclose(parity_expansion(a), theta, atol=1e-12)
 
 
+def loop_butterfly(phases):
+    """The slice-by-slice FWHT that walsh_coefficients used to run."""
+    a = phases.astype(float).copy()
+    h = 1
+    size = a.shape[0]
+    while h < size:
+        for i in range(0, size, 2 * h):
+            x = a[i : i + h].copy()
+            y = a[i + h : i + 2 * h].copy()
+            a[i : i + h] = x + y
+            a[i + h : i + 2 * h] = x - y
+        h *= 2
+    return a / size
+
+
+def test_walsh_coefficients_equal_loop_butterfly_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in range(1, 11):
+        theta = rng.uniform(-np.pi, np.pi, size=1 << n)
+        got = walsh_coefficients(DiagonalUnitary.from_phases(theta))
+        assert np.array_equal(got, loop_butterfly(theta))
+
+
 def test_from_phases_validation():
     with pytest.raises(ValueError):
         DiagonalUnitary.from_phases([0.0, 1.0, 2.0])

@@ -2,13 +2,18 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import polarq
 from polarq.circuits import CNOT_MATRIX, nmr_cnot_sequence
-from polarq.circuits.nmr import _phase_frame, _ry
+from polarq.circuits.nmr import _framed_deviation, _phase_frame, _ry
 
 
 def test_ry_matches_exponential():
@@ -79,3 +84,35 @@ def test_input_validation():
         nmr_cnot_sequence(-1.0)
     with pytest.raises(ValueError):
         nmr_cnot_sequence(1.0, wait_scale=-0.1)
+
+
+def test_closed_form_frame_is_never_worse_than_nelder_mead():
+    from scipy.optimize import minimize
+
+    for wait_scale in np.linspace(0.0, 2.0, 21):
+        rep = nmr_cnot_sequence(1.0, wait_scale=float(wait_scale))
+        assert rep.deviation == _framed_deviation(rep.unitary, rep.phases)
+        floor = abs(math.cos(0.5 * math.pi * wait_scale))
+        assert rep.deviation == pytest.approx(floor, abs=1e-12)
+        best = min(
+            minimize(
+                lambda ang: _framed_deviation(rep.unitary, ang),
+                seed,
+                method="Nelder-Mead",
+                options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 4000},
+            ).fun
+            for seed in (np.zeros(3), np.array([0.3, -0.5, 0.2]))
+        )
+        assert rep.deviation <= best + 1e-12
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    src = str(Path(polarq.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, polarq.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "False"
