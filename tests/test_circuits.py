@@ -337,13 +337,8 @@ def test_simulate_matches_kron_product_unitary(n):
             assert np.max(np.abs(got - u @ state.amplitudes)) < 1e-12
 
 
-def test_simulate_small_tables_and_blocks_match_kron(monkeypatch):
-    """The paths large n takes, forced at small n.
-
-    Phase tables over at most two qubits (split runs and the one-table
-    fallback) and permutations by block copies.
-    """
-    monkeypatch.setattr(core, "_TABLE_BITS", 2)
+def test_simulate_block_copies_match_kron(monkeypatch):
+    """Permutations by block copies, the path large n takes, forced at small n."""
     monkeypatch.setattr(core, "_BLOCK_BITS", 1)
     rng = np.random.default_rng(7)
     for n in (5, 6):
