@@ -20,13 +20,22 @@ it gets 1e-3 relative.
 To record new goldens after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+The goldens are recorded at one OpenBLAS thread, so that a rewrite of
+unchanged code changes no byte: run without OPENBLAS_NUM_THREADS=1, the
+script sets it and starts itself again before numpy is loaded.
 """
 
 import csv
 import json
 import math
 import os
+import sys
 from pathlib import Path
+
+if __name__ == "__main__" and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.execv(sys.executable, [sys.executable, *sys.argv])
 
 import pytest
 
