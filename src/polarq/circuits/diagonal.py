@@ -14,7 +14,6 @@ built from nearest-neighbor CNOTs.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 

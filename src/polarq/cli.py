@@ -101,7 +101,8 @@ def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
     elif kind == "square":
         geom = square_array(g.get("rows", 3), g.get("cols", 3))
     else:
-        geom = custom_array(g["positions"], g.get("field_direction", (0.0, 0.0, 1.0)))
+        geom = custom_array(g["positions"])
+    geom = ArrayGeometry(geom.kind, geom.positions, g.get("field_direction", (0, 0, 1)))
     return geom, g.get("nearest_neighbors_only", False)
 
 
@@ -159,6 +160,8 @@ def _resolve_phases(params: dict, seed: int) -> tuple[DiagonalUnitary, dict]:
             raw = json.loads(text)
         except json.JSONDecodeError:
             raw = [float(line) for line in text.split()]
+        if not isinstance(raw, list):
+            raise ValueError(f"{path}: expected a JSON array or numbers, got {raw!r}")
         d = DiagonalUnitary.from_phases(raw)
         meta["phases_file"] = path
     else:
@@ -173,7 +176,11 @@ def _resolve_phases(params: dict, seed: int) -> tuple[DiagonalUnitary, dict]:
 
 
 class TaskPlan(NamedTuple):
-    """Metadata, CSV header, and the data rows, computed lazily in order."""
+    """Metadata, CSV header, and the data rows, computed lazily in order.
+
+    Planning only resolves the config: every solve happens as the rows are
+    drawn, so a solver failure still leaves the metadata and header.
+    """
 
     metadata: dict
     header: list[str]
@@ -255,10 +262,12 @@ def _plan_gap_vs_omega(cfg, params, *_) -> TaskPlan:
 def _plan_thermal_vs_kt(cfg, params, *_) -> TaskPlan:
     """fig4b: thermal excitation probability vs temperature."""
     fixed = _with_defaults(params, x=2.0, n=8, omega=1e-4)
-    spec = _solve(float(fixed["x"]), linear_array(fixed["n"]), fixed["omega"], "all")
+    x, geom = float(fixed["x"]), linear_array(fixed["n"])
+    # one full spectrum, solved with the first row, serves every temperature
+    spec = functools.cache(lambda: _solve(x, geom, fixed["omega"], "all"))
 
     def row(point):
-        return [thermal_excitation(spec, point["kt"])]
+        return [thermal_excitation(spec(), point["kt"])]
 
     default = (2e-3, 5e-2, 9, "log")
     meta = {"geometry": "linear"}
@@ -310,8 +319,6 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     point = _with_defaults(params, x=2.0, omega=1e-3)
     omega = point["omega"]
     geom, nn_only = _geometry(cfg)
-    by_pair = {(c.i, c.j): c for c in pair_couplings(geom, omega, nn_only)}
-    ground = _ground(float(point["x"]), geom, omega, nn_only)
     header = ["i", "j", "omega_ij", "alpha_ij", "concurrence", "eof"]
     meta = {"geometry": _geom_label(geom), **point, "nearest_neighbors_only": nn_only}
     if "pairs" in params:
@@ -320,13 +327,16 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     else:
         pairs = itertools.combinations(range(geom.n_sites), 2)
 
-    def row(pair):
-        c = concurrence(reduce(ground, *pair))
-        pc = by_pair.get(pair)
-        omega_ij, alpha_ij = (pc.omega, pc.alpha) if pc else (0.0, math.pi / 2)
-        return [*pair, omega_ij, alpha_ij, c, entanglement_of_formation(c)]
+    def rows():
+        by_pair = {(c.i, c.j): c for c in pair_couplings(geom, omega, nn_only)}
+        ground = _ground(float(point["x"]), geom, omega, nn_only)
+        for pair in pairs:
+            c = concurrence(reduce(ground, *pair))
+            pc = by_pair.get(tuple(sorted(pair)))
+            omega_ij, alpha_ij = (pc.omega, pc.alpha) if pc else (0.0, math.pi / 2)
+            yield [*pair, omega_ij, alpha_ij, c, entanglement_of_formation(c)]
 
-    return TaskPlan(meta, header, map(row, pairs))
+    return TaskPlan(meta, header, rows())
 
 
 def _plan_thermal(cfg, params, *_) -> TaskPlan:
@@ -436,11 +446,14 @@ def _cluster_edges(params: dict) -> tuple[list[tuple[int, int]], int, str]:
 def _plan_cluster_check(cfg, params, *_) -> TaskPlan:
     """Prepare a cluster state and report every stabilizer expectation."""
     edges, n, label = _cluster_edges(params)
-    state = prepare_cluster_state(edges, n)
-    checks = cluster_stabilizer_check(state, edges)
     header = ["vertex", "stabilizer_expectation"]
     meta = {"graph": label, "n": n, "edges": _join(f"{a}-{b}" for a, b in edges)}
-    return TaskPlan(meta, header, ([a, checks[a]] for a in range(n)))
+
+    def rows():
+        checks = cluster_stabilizer_check(prepare_cluster_state(edges, n), edges)
+        yield from ([a, checks[a]] for a in range(n))
+
+    return TaskPlan(meta, header, rows())
 
 
 def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
@@ -737,14 +750,9 @@ def run(cfg: dict, out_path: str, seed: int) -> int:
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}")
         plan = TASKS[task].plan(cfg, cfg.get("parameters", {}), seed, out_path)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # noqa: BLE001 - solver failure while planning
-        failure = f"{type(exc).__name__}: {exc}"
-        _write_csv(out_path, task, {}, [], [], failure)
-        print(f"error: {failure}", file=sys.stderr)
-        return EXIT_SOLVER
     rows = []
     failure = None
     try:

@@ -3,21 +3,18 @@
 The reduced density matrix of sites (i, j) is taken in the standard product
 basis {|00>, |01>, |10>, |11>} with site i as the left factor, matching the
 bit ordering of the many-body module.  Concurrence follows the spin-flip
-construction: lambda_i are the square roots of the eigenvalues, in
-decreasing order, of rho * rho_tilde, and C = max(0, l1 - l2 - l3 - l4).
+construction, C = max(0, l1 - l2 - l3 - l4) with lambda_i the square roots
+of the eigenvalues of rho * rho_tilde in decreasing order.  They are taken
+as the singular values of tau = W^T (sigma_y x sigma_y) W with
+rho = W W^dagger, which keeps C accurate near product states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# Tiny negative rho*rho_tilde eigenvalues are float noise and get clamped;
-# anything at or below the error threshold means the input was not a state.
-_CLAMP = 1e-10
-_NEGATIVE_ERROR = -1e-8
 
 _SYSY = np.array(
     [
@@ -31,10 +28,6 @@ _SYSY = np.array(
 
 class InvalidPairError(ValueError):
     """Pair indices coincide or fall outside the system."""
-
-
-class ConcurrenceNumericsError(RuntimeError):
-    """rho * rho_tilde produced eigenvalues incompatible with a density matrix."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,26 +103,10 @@ def spin_flip(rho) -> np.ndarray:
 
 
 def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix, in [0, 1].
-
-    Raises:
-        ConcurrenceNumericsError: an eigenvalue of rho * rho_tilde has
-            imaginary part >= 1e-10 or real part <= -1e-8.
-    """
+    """Wootters concurrence of a two-qubit density matrix, in [0, 1]."""
     m = _as_matrix(rho)
-    ev = np.linalg.eigvals(m @ spin_flip(m))
-    if np.max(np.abs(ev.imag)) >= _CLAMP:
-        raise ConcurrenceNumericsError(
-            f"rho*rho_tilde eigenvalues have imaginary parts up to "
-            f"{np.max(np.abs(ev.imag))}"
-        )
-    if np.min(ev.real) <= _NEGATIVE_ERROR:
-        raise ConcurrenceNumericsError(
-            f"rho*rho_tilde eigenvalue {np.min(ev.real)} below {_NEGATIVE_ERROR}"
-        )
-    # The same lambdas are the singular values of tau = W^T (sy x sy) W with
-    # rho = W W^dagger.  Taking them from tau keeps C accurate near product
-    # states, where square roots of ~1e-16 eigenvalues would add ~1e-8 each.
+    # lambda_i from tau rather than from rho * rho_tilde: near product states
+    # square roots of ~1e-16 eigenvalues would add ~1e-8 each
     w, v = np.linalg.eigh(m)
     root = v * np.sqrt(np.clip(w, 0.0, None))
     lam = np.linalg.svd(root.T @ _SYSY @ root, compute_uv=False)
@@ -159,7 +136,6 @@ class ConcurrenceMap:
 
     entries: dict[tuple[int, int], float]
     n_sites: int
-    parameters: dict = field(default_factory=dict)
 
     def value(self, i: int, j: int) -> float:
         return self.entries[(min(i, j), max(i, j))]
@@ -168,7 +144,6 @@ class ConcurrenceMap:
 def pairwise_concurrence_map(
     state: np.ndarray,
     pairs: list[tuple[int, int]] | None = None,
-    parameters: dict | None = None,
 ) -> ConcurrenceMap:
     """Concurrence of every pair of the state (or a requested subset)."""
     arr = np.asarray(state, dtype=complex)
@@ -179,4 +154,4 @@ def pairwise_concurrence_map(
         (min(i, j), max(i, j)): concurrence(reduce(arr, min(i, j), max(i, j)))
         for i, j in pairs
     }
-    return ConcurrenceMap(entries=entries, n_sites=n, parameters=parameters or {})
+    return ConcurrenceMap(entries=entries, n_sites=n)

@@ -28,7 +28,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .lattice import PairCoupling, angular_factor
-from .pendular import QubitPair
+from .pendular import QubitPair, _fix_phases
 
 DENSE_LIMIT = 14
 CAPACITY_LIMIT = 24
@@ -92,19 +92,6 @@ class QubitHamiltonian:
     qp: QubitPair
     couplings: tuple[PairCoupling, ...]
     matrix: np.ndarray | None
-
-    def diagonal(self) -> np.ndarray:
-        """One-site part plus diagonal coupling contributions, length 2^n."""
-        if self.matrix is not None:
-            return np.diagonal(self.matrix).copy()
-        ones = np.bitwise_count(np.arange(self.dim, dtype=np.uint64)).astype(float)
-        diag = self.n * self.qp.w0 + (self.qp.w1 - self.qp.w0) * ones
-        m_diag = np.array([self.qp.c0, self.qp.c1])
-        for i, j, g in _coupling_strengths(self.couplings, self.n):
-            bi = (np.arange(self.dim) >> (self.n - 1 - i)) & 1
-            bj = (np.arange(self.dim) >> (self.n - 1 - j)) & 1
-            diag += g * m_diag[bi] * m_diag[bj]
-        return diag
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """H @ v without materializing H."""
@@ -182,11 +169,6 @@ class Spectrum:
     @property
     def complete(self) -> bool:
         return len(self.eigenvalues) == self.dim
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    dom = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    return vectors * np.where(dom < 0, -1.0, 1.0)
 
 
 def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:

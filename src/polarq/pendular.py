@@ -73,6 +73,12 @@ class PendularSolution:
     coefficients: np.ndarray
 
 
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Eigenvector columns with their largest-magnitude amplitude made positive."""
+    dom = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(dom < 0, -1.0, 1.0)
+
+
 def solve_pendular(x: float, tol: float = DEFAULT_TOL) -> PendularSolution:
     """Diagonalize the pendular Hamiltonian with adaptive truncation.
 
@@ -92,16 +98,11 @@ def solve_pendular(x: float, tol: float = DEFAULT_TOL) -> PendularSolution:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     prev_dw = None
     for j_max in range(4, J_MAX_LIMIT + 1, 2):
-        w = np.linalg.eigvalsh(build_pendular_hamiltonian(x, j_max))
+        w, v = np.linalg.eigh(build_pendular_hamiltonian(x, j_max))
         dw = w[1] - w[0]
         if prev_dw is not None and abs(dw - prev_dw) < tol:
-            energies, vectors = np.linalg.eigh(build_pendular_hamiltonian(x, j_max))
-            coeffs = vectors.T.copy()
-            for k in range(coeffs.shape[0]):
-                dom = np.argmax(np.abs(coeffs[k]))
-                if coeffs[k, dom] < 0:
-                    coeffs[k] = -coeffs[k]
-            return PendularSolution(x=x, j_max=j_max, energies=energies, coefficients=coeffs)
+            coeffs = _fix_phases(v).T.copy()
+            return PendularSolution(x=x, j_max=j_max, energies=w, coefficients=coeffs)
         prev_dw = dw
     raise ConvergenceError(
         f"pendular splitting at x={x} not converged to {tol} by j_max={J_MAX_LIMIT}"

@@ -287,6 +287,38 @@ def test_failing_row_keeps_the_rows_before_it(tmp_path, monkeypatch, capsys):
     assert "partial results" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cfg, target, header",
+    [
+        ({"task": "fig4b"}, "spectrum", ["kt", "p_thermal"]),
+        (
+            {"task": "concurrence"},
+            "spectrum",
+            ["i", "j", "omega_ij", "alpha_ij", "concurrence", "eof"],
+        ),
+        (
+            {"task": "cluster-check"},
+            "prepare_cluster_state",
+            ["vertex", "stabilizer_expectation"],
+        ),
+    ],
+    ids=["fig4b", "concurrence", "cluster-check"],
+)
+def test_failure_in_the_first_row_keeps_metadata_and_header(
+    tmp_path, monkeypatch, cfg, target, header
+):
+    def boom(*args, **kwargs):
+        raise SolverError("eigensolver did not converge")
+
+    monkeypatch.setattr(cli, target, boom)
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    meta, got_header, rows = read_csv(str(out))
+    assert meta["task"] == cfg["task"] and len(meta) > 2
+    assert got_header == header
+    assert rows == [["FAILED", "SolverError: eigensolver did not converge"]]
+
+
 def test_compile_diagonal_writes_circuit_file(tmp_path):
     circuit_file = tmp_path / "out.circuit"
     cfg = write_cfg(
@@ -308,6 +340,37 @@ def test_compile_diagonal_writes_circuit_file(tmp_path):
     circ = circuit_from_text(circuit_file.read_text())
     assert circ.gate_count() == int(rows[0][header.index("gates")])
     assert circ.gate_count("CNOT") == int(rows[0][header.index("cnots")])
+
+
+def test_compile_diagonal_reads_phases_file(tmp_path):
+    phases = [0.25, -1.5, 3.0, 0.125, 2.5, -0.75, 1.0, -2.0]
+    sources = {
+        "inline": {"phases": phases},
+        "json": {"phases_file": "phases.json"},
+        "lines": {"phases_file": "phases.txt"},
+    }
+    (tmp_path / "phases.json").write_text(json.dumps(phases))
+    (tmp_path / "phases.txt").write_text("\n".join(map(repr, phases)) + "\n")
+    data = {}
+    for name, params in sources.items():
+        params = {**params, "circuit_output": str(tmp_path / f"{name}.circuit")}
+        if "phases_file" in params:
+            params["phases_file"] = str(tmp_path / params["phases_file"])
+        cfg = {"task": "compile-diagonal", "parameters": params}
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        data[name] = read_csv(str(out))[1:]
+    assert data["json"] == data["lines"] == data["inline"]
+
+
+def test_phases_file_that_is_not_a_list_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "phases.json"
+    bad.write_text('{"phases": [0.0, 1.0]}')
+    cfg = {"task": "iqp", "parameters": {"phases_file": str(bad)}}
+    out = tmp_path / "iqp.csv"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "phases.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_iqp_explicit_phases(tmp_path):
@@ -506,3 +569,51 @@ def test_concurrence_beyond_dense_limit_runs_matrix_free(tmp_path, monkeypatch):
         c01[n] = float(rows[0][header.index("concurrence")])
     assert matrix_free == [False, True]
     assert c01[15] == pytest.approx(c01[9], rel=0.01)
+
+
+def test_concurrence_reports_the_coupling_of_a_reversed_pair(tmp_path):
+    cfg = {
+        "task": "concurrence",
+        "geometry": {"kind": "linear", "n": 3},
+        "parameters": {"pairs": [[1, 0], [0, 1]]},
+    }
+    out = tmp_path / "c.csv"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    _, header, rows = read_csv(str(out))
+    reversed_, forward = (dict(zip(header, r)) for r in rows)
+    assert (reversed_["i"], reversed_["j"]) == ("1", "0")
+    assert reversed_["omega_ij"] == forward["omega_ij"] == "0.001"
+    assert reversed_["alpha_ij"] == forward["alpha_ij"]
+    assert float(reversed_["concurrence"]) == pytest.approx(
+        float(forward["concurrence"]), rel=1e-9
+    )
+
+
+@pytest.mark.parametrize(
+    "geometry, positions",
+    [
+        ({"kind": "linear", "n": 3}, [[0, 0, 0], [1, 0, 0], [2, 0, 0]]),
+        (
+            {"kind": "square", "rows": 2, "cols": 2},
+            [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]],
+        ),
+    ],
+    ids=["linear", "square"],
+)
+def test_field_direction_applies_to_every_geometry_kind(tmp_path, geometry, positions):
+    field = [1, 0, 0]
+    columns = {}
+    for name, geom in [
+        ("built_in", {**geometry, "field_direction": field}),
+        ("custom", {"kind": "custom", "positions": positions, "field_direction": field}),
+    ]:
+        cfg = {"task": "concurrence", "geometry": geom}
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        columns[name] = [
+            [r[header.index(c)] for c in ("i", "j", "alpha_ij", "concurrence")]
+            for r in rows
+        ]
+    assert columns["built_in"] == columns["custom"]
+    assert any(alpha == "0.0" for _, _, alpha, _ in columns["built_in"])

@@ -164,7 +164,6 @@ def test_matrix_free_apply_matches_dense(qp):
     rng = np.random.default_rng(3)
     v = rng.normal(size=h.dim)
     assert np.max(np.abs(matrix_free(h).apply(v) - h.matrix @ v)) < 1e-12
-    assert np.max(np.abs(matrix_free(h).diagonal() - np.diagonal(h.matrix))) < 1e-14
 
 
 def test_capacity_and_index_errors(qp):
