@@ -11,10 +11,8 @@ map x -> Mx ^ f over GF(2) with a phase polynomial
 phi(x) = c_0 + sum_s c_s (-1)^{popcount(s & x)} (Amy, Azimzadeh & Mosca,
 arXiv:1712.01859).  One Python pass over the run's gates builds M, f and
 the coefficients c_s.  The state then takes one in-place multiply by a
-phase table and at most one permutation: a transposed copy when M only
-moves wires, one block copy per setting of the input bits M mixes when
-those blocks are large, one scatter through an index array otherwise.
-Each H is one butterfly.  A run of g gates thus costs O(g) Python steps
+phase table and at most one permutation, a scatter through an index
+array.  Each H is one butterfly.  A run of g gates thus costs O(g) Python steps
 and a few passes over the 2^n amplitudes; its phase table, over the k
 qubits its terms touch, costs O(min(terms, k) 2^k) to build.
 
@@ -25,7 +23,6 @@ with repr.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -266,60 +263,27 @@ def _phase_table(terms: dict, const: float, n: int) -> np.ndarray:
     return _on_qubits(np.exp(1j * phase), qubits, n)
 
 
-# _permute copies blocks of at least 2^_BLOCK_BITS amplitudes, one per
-# setting of the input bits whose column the run changed, when the blocks
-# are that large; otherwise it scatters through an index array.
-_BLOCK_BITS = 10
-
-
 def _permute(
     amp: np.ndarray, masks: list[int], flips: list[int], n: int, out: np.ndarray
 ) -> None:
-    """out[y(x)] = amp[x] for the affine map y of _walk.
+    """out[y(x)] = amp[x] for the affine map y of _walk, by one scatter.
 
-    Each path is there for a case timed on 2 vCPUs, best of 3 or 5:
-    - transposed copy, runs that only move wires or flip bits: 8 SWAPs on
-      disjoint pairs at n = 20 take 13 ms, against 23 ms by scatter and
-      0.7 s by 2^16 block copies;
-    - block copies, few changed columns at large n: a lone CNOT at n = 20
-      (the H/CNOT alternation) takes 2.1 ms, against 4.1 ms by scatter
-      and 4.3-4.6 ms for the old per-gate CNOT;
-    - scatter, small blocks or many changed columns: a 19-CNOT ladder at
-      n = 20 takes 25 ms, against 4.8 s by block copies, and 3 CNOTs at
-      n = 10 take 0.05 ms, against 0.12 ms by block copies.
+    y = x ^ F ^ xor_j x_j (col_j ^ e_j) over the columns j of the linear
+    part that differ from the identity, so the destination index table is
+    arange(2^n) XORed with a broadcast table over those input bits.  At
+    n = 20 on 2 vCPUs (one BLAS thread, best of 7) a lone CNOT or SWAP
+    takes 6-8 ms and a 19-CNOT ladder about 23 ms.  Copies tuned to wire
+    moves or to few changed columns took about half as long on a lone
+    gate, but are not kept: no task and no benchmark workload permutes
+    the state, so nothing would measure them.
     """
     identity = [1 << (n - 1 - q) for q in range(n)]
-    if all(m.bit_count() == 1 for m in masks):
-        # a wire permutation and bit flips: copy a transposed, flipped view
-        t = np.transpose(amp.reshape([2] * n), [n - m.bit_length() for m in masks])
-        np.copyto(out.reshape([2] * n), np.flip(t, [q for q in range(n) if flips[q]]))
-        return
-    # y = x ^ F ^ xor_j x_j (col_j ^ e_j) over the columns j of the
-    # linear part that differ from the identity
     cols = [0] * n
     for q, m in enumerate(masks):
         for j in _qubits_of(m, n):
             cols[j] |= identity[q]
     changed = [j for j in range(n) if cols[j] != identity[j]]
-    flip = sum(identity[q] for q in range(n) if flips[q])
-    if n - len(changed) >= _BLOCK_BITS:
-        # one flipped block copy per setting of the changed input bits
-        src, dst = amp.reshape([2] * n), out.reshape([2] * n)
-        rest = [q for q in range(n) if q not in changed]
-        for bits in itertools.product((0, 1), repeat=len(changed)):
-            d = flip
-            for j, b in zip(changed, bits):
-                if b:
-                    d ^= cols[j] ^ identity[j]
-            x_sel: list = [slice(None)] * n
-            y_sel: list = [slice(None)] * n
-            for j, b in zip(changed, bits):
-                x_sel[j] = b
-                y_sel[j] = b ^ (d >> (n - 1 - j) & 1)
-            axes = [k for k, q in enumerate(rest) if d & identity[q]]
-            dst[tuple(y_sel)] = np.flip(src[tuple(x_sel)], axes)
-        return
-    delta = np.array([flip])
+    delta = np.array([sum(identity[q] for q in range(n) if flips[q])])
     for j in changed:
         delta = (delta[:, None] ^ np.array([0, cols[j] ^ identity[j]])).reshape(-1)
     y = np.arange(1 << n).reshape([2] * n)

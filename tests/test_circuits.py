@@ -337,16 +337,68 @@ def test_simulate_matches_kron_product_unitary(n):
             assert np.max(np.abs(got - u @ state.amplitudes)) < 1e-12
 
 
-def test_simulate_block_copies_match_kron(monkeypatch):
-    """Permutations by block copies, the path large n takes, forced at small n."""
-    monkeypatch.setattr(core, "_BLOCK_BITS", 1)
-    rng = np.random.default_rng(7)
-    for n in (5, 6):
-        for _ in range(30):
-            circuit = structured_circuit(rng, n)
-            state = random_state(rng, n)
-            want = kron_circuit(circuit) @ state.amplitudes
-            assert np.max(np.abs(simulate(circuit, state).amplitudes - want)) < 1e-12
+def sliced_gate(t, g):
+    """One gate on the [2] * n amplitude tensor by numpy slicing, no simulate."""
+    n = t.ndim
+
+    def at(**bits):
+        ix = [slice(None)] * n
+        for q, b in bits.items():
+            ix[int(q[1:])] = b
+        return tuple(ix)
+
+    t = t.copy()
+    if g.name == "PHASE":
+        return t * np.exp(1j * g.theta)
+    q = g.qubits[0]
+    if g.name == "H":
+        a0, a1 = t[at(**{f"q{q}": 0})], t[at(**{f"q{q}": 1})]
+        return np.stack([a0 + a1, a0 - a1], axis=q) / np.sqrt(2)
+    if g.name == "X":
+        return np.flip(t, q).copy()
+    if g.name == "Z":
+        t[at(**{f"q{q}": 1})] *= -1
+    elif g.name == "RZ":
+        t[at(**{f"q{q}": 0})] *= np.exp(-0.5j * g.theta)
+        t[at(**{f"q{q}": 1})] *= np.exp(0.5j * g.theta)
+    elif g.name == "CZ":
+        t[at(**{f"q{q}": 1, f"q{g.qubits[1]}": 1})] *= -1
+    elif g.name == "SWAP":
+        return np.swapaxes(t, *g.qubits).copy()
+    else:
+        c, b = g.qubits
+        i0, i1 = at(**{f"q{c}": 1, f"q{b}": 0}), at(**{f"q{c}": 1, f"q{b}": 1})
+        t[i0], t[i1] = t[i1].copy(), t[i0].copy()
+    return t
+
+
+def test_simulate_moves_wires_at_twelve_qubits():
+    """Runs that permute the state, at a size where 2^n is past small tables."""
+    n = 12
+    rng = np.random.default_rng(12)
+    h_layer = [Gate("H", (q,)) for q in range(n)]
+    lone_cnot = [Gate("X", (3,)), Gate("RZ", (3,), 0.7), Gate("CNOT", (2, 9))]
+    swaps = [Gate("SWAP", (2 * k, 2 * k + 1)) for k in range(n // 2)]
+    swaps += [Gate("X", (0,)), Gate("CZ", (0, 5)), Gate("RZ", (1,), -1.3)]
+    ladder = [Gate("CNOT", (k, k + 1)) for k in range(n - 1)]
+    ladder += [Gate("CZ", (0, n - 1)), Gate("RZ", (n - 1,), 0.4)]
+    mixed = []
+    for k in range(4):
+        mixed += [
+            Gate("H", (k,)), Gate("X", (k + 1,)),
+            Gate("H", (k + 2,)), Gate("RZ", (k + 3,), 0.3 + k),
+            Gate("H", (k + 4,)), Gate("CNOT", (k + 5, k)),
+            Gate("H", (k + 6,)), Gate("CZ", (k + 7, k + 1)),
+            Gate("H", (k + 8,)), Gate("SWAP", (k + 2, n - 1)),
+        ]
+    for run in (lone_cnot, swaps, ladder, mixed):
+        circuit = Circuit(n=n, gates=tuple(h_layer + run + h_layer + run))
+        state = random_state(rng, n)
+        want = state.amplitudes.reshape([2] * n)
+        for g in circuit.gates:
+            want = sliced_gate(want, g)
+        got = simulate(circuit, state).amplitudes
+        assert np.max(np.abs(got - want.reshape(-1))) < 1e-12
 
 
 def test_simulate_leaves_the_input_state_alone():
