@@ -95,8 +95,6 @@ def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
     g = cfg.get("geometry", {})
     kind = g.get("kind", kind)
     if kind == "linear":
-        if n is None:
-            n = cfg.get("parameters", {}).get("n", 2)
         geom = linear_array(g.get("n", n))
     elif kind == "square":
         geom = square_array(g.get("rows", 3), g.get("cols", 3))
@@ -528,9 +526,8 @@ class Task(NamedTuple):
     plan: Callable[[dict, dict, int, str], TaskPlan]
     # the axes its sweep block may sweep; empty when it takes no sweep block
     axes: tuple[str, ...] = ()
-    # default (kind, n) of its geometry block, None when it takes none;
-    # n None means parameters.n, default 2
-    geometry: tuple[str, int | None] | None = None
+    # default (kind, n) of its geometry block, None when it takes none
+    geometry: tuple[str, int] | None = None
 
 
 TASKS = {
@@ -542,8 +539,8 @@ TASKS = {
     "fig5b": Task(_plan_concurrences, ("x",), ("linear", 9)),
     "fig6a": Task(_plan_concurrences, ("omega",), ("square", 9)),
     "fig6b": Task(_plan_concurrences, ("x",), ("square", 9)),
-    "sweep": Task(_plan_sweep, ("omega", "x", "kt"), ("linear", None)),
-    "concurrence": Task(_plan_concurrence, (), ("linear", None)),
+    "sweep": Task(_plan_sweep, ("omega", "x", "kt"), ("linear", 2)),
+    "concurrence": Task(_plan_concurrence, (), ("linear", 2)),
     "thermal": Task(_plan_thermal),
     "gap": Task(_plan_gap),
     "compile-diagonal": Task(_plan_compile_diagonal),
@@ -696,7 +693,7 @@ def validate_config(cfg) -> list[str]:
                 for p in params.get("pairs", [])
                 if p[0] == p[1] or max(p) >= sites
             ]
-        if entry.geometry[1] is not None and "n" in params:
+        if "n" in params:
             out.append(
                 f"parameters/n: task {task!r} sizes its array from geometry; "
                 "set geometry.n instead"
