@@ -326,8 +326,10 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
         pairs = itertools.combinations(range(geom.n_sites), 2)
 
     def rows():
-        by_pair = {(c.i, c.j): c for c in pair_couplings(geom, omega, nn_only)}
-        ground = _ground(float(point["x"]), geom, omega, nn_only)
+        coups = pair_couplings(geom, omega, nn_only)
+        by_pair = {(c.i, c.j): c for c in coups}
+        h = build_hamiltonian(_qp(float(point["x"])), coups, geom.n_sites)
+        ground = spectrum(h, 1).eigenvectors[:, 0]
         for pair in pairs:
             c = concurrence(reduce(ground, *pair))
             pc = by_pair.get(tuple(sorted(pair)))

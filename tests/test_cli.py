@@ -606,6 +606,19 @@ def test_concurrence_reports_the_coupling_of_a_reversed_pair(tmp_path):
     )
 
 
+def test_concurrence_builds_its_couplings_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return pair_couplings(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pair_couplings", spy)
+    cfg = write_cfg(tmp_path, {"task": "concurrence"})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 2  # validation's check for coincident sites, then the run
+
+
 @pytest.mark.parametrize(
     "geometry, positions",
     [
