@@ -140,8 +140,15 @@ def _join(values) -> str:
     return ";".join(_cell(v) for v in values)
 
 
-def _geom_label(geom: ArrayGeometry) -> str:
-    return f"{geom.kind}[{geom.n_sites}]"
+def _geom_meta(geom: ArrayGeometry) -> dict:
+    """Metadata of a resolved geometry: kind and size, field, custom sites."""
+    meta = {
+        "geometry": f"{geom.kind}[{geom.n_sites}]",
+        "field_direction": _join(geom.field_direction),
+    }
+    if geom.kind == "custom":
+        meta["positions"] = ";".join(",".join(map(_cell, p)) for p in geom.positions)
+    return meta
 
 
 def _resolve_phases(params: dict, seed: int) -> tuple[DiagonalUnitary, dict]:
@@ -279,7 +286,7 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
     pairs = [tuple(p) for p in pairs]
     header = [f"c_{i}{j}" for i, j in pairs]
     meta = {
-        "geometry": _geom_label(geom),
+        **_geom_meta(geom),
         "pairs": _join(f"{i}-{j}" for i, j in pairs),
         "nearest_neighbors_only": nn_only,
     }
@@ -298,7 +305,7 @@ def _plan_sweep(cfg, params, *_) -> TaskPlan:
     """Generic one-axis sweep reporting excitation, gap, and thermal columns."""
     fixed = _with_defaults(params, x=2.0, omega=1e-3, kt=0.0)
     geom, nn_only = _geometry(cfg)
-    meta = {"geometry": _geom_label(geom), "nearest_neighbors_only": nn_only}
+    meta = {**_geom_meta(geom), "nearest_neighbors_only": nn_only}
 
     def row(point):
         spec = _solve(float(point["x"]), geom, point["omega"], "all", nn_only)
@@ -318,7 +325,7 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     omega = point["omega"]
     geom, nn_only = _geometry(cfg)
     header = ["i", "j", "omega_ij", "alpha_ij", "concurrence", "eof"]
-    meta = {"geometry": _geom_label(geom), **point, "nearest_neighbors_only": nn_only}
+    meta = {**_geom_meta(geom), **point, "nearest_neighbors_only": nn_only}
     if "pairs" in params:
         pairs = [tuple(p) for p in params["pairs"]]
         meta["pairs"] = _join(f"{i}-{j}" for i, j in pairs)

@@ -606,6 +606,19 @@ def test_concurrence_reports_the_coupling_of_a_reversed_pair(tmp_path):
     )
 
 
+def test_metadata_records_the_field_direction(tmp_path):
+    headers = []
+    for field in ([0, 0, 1], [1, 0, 0]):
+        geom = {"kind": "linear", "n": 3, "field_direction": field}
+        cfg = write_cfg(tmp_path, {"task": "concurrence", "geometry": geom})
+        out = tmp_path / "c.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        headers.append([line for line in text.splitlines() if line.startswith("#")])
+    assert "# field_direction=1.0;0.0;0.0" in headers[1]
+    assert headers[0] != headers[1]
+
+
 def test_concurrence_builds_its_couplings_once(tmp_path, monkeypatch):
     calls = []
 
