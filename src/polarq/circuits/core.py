@@ -12,9 +12,9 @@ phi(x) = c_0 + sum_s c_s (-1)^{popcount(s & x)} (Amy, Azimzadeh & Mosca,
 arXiv:1712.01859).  One Python pass over the run's gates builds M, f and
 the coefficients c_s.  The state then takes one in-place multiply by a
 phase table and at most one permutation, a scatter through an index
-array.  Each H is one butterfly.  A run of g gates thus costs O(g) Python steps
-and a few passes over the 2^n amplitudes; its phase table, over the k
-qubits its terms touch, costs O(min(terms, k) 2^k) to build.
+array.  Each H is one butterfly.  A run of g gates thus costs O(g)
+Python steps and a few passes over the 2^n amplitudes; its phase table,
+over the k qubits its terms touch, costs O(min(terms, k) 2^k) to build.
 
 Circuits serialize one gate per line as ``GATE q[,q2][,theta]`` under a
 ``# qubits=N`` header; the round-trip is exact because angles are written
@@ -272,7 +272,7 @@ def _permute(
     part that differ from the identity, so the destination index table is
     arange(2^n) XORed with a broadcast table over those input bits.  At
     n = 20 on 2 vCPUs (one BLAS thread, best of 7) a lone CNOT or SWAP
-    takes 6-8 ms and a 19-CNOT ladder about 23 ms.  Copies tuned to wire
+    takes 6-9 ms and a 19-CNOT ladder 23-35 ms.  Copies tuned to wire
     moves or to few changed columns took about half as long on a lone
     gate, but are not kept: no task and no benchmark workload permutes
     the state, so nothing would measure them.

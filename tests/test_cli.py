@@ -151,23 +151,6 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         ),
         ({"task": "fig5a", "parameters": {"n": 3}}, "geometry.n"),
         ({"task": "fig6b", "parameters": {"n": 9}}, "geometry.n"),
-        (
-            {
-                "task": "sweep",
-                "geometry": {"kind": "square", "rows": 2, "cols": 2},
-                "parameters": {"n": 7},
-                "sweep": {"parameter": "omega", "from": 1e-4, "to": 1e-3, "points": 2},
-            },
-            "geometry.n",
-        ),
-        (
-            {
-                "task": "concurrence",
-                "parameters": {"n": 3},
-                "geometry": {"kind": "linear", "n": 4},
-            },
-            "geometry.n",
-        ),
         # the thermal sum needs every level, which only the dense solver gives
         ({"task": "fig4b", "parameters": {"n": 15}}, "2^n levels"),
         ({"task": "thermal", "parameters": {"n": 15}}, "2^n levels"),
@@ -197,6 +180,24 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
                 "parameters": {"graph": "grid", "rows": 5, "cols": 5},
             },
             "25 vertices",
+        ),
+        # parameters.n beside a geometry block on the tasks whose default is 2 sites
+        (
+            {
+                "task": "sweep",
+                "geometry": {"kind": "square", "rows": 2, "cols": 2},
+                "parameters": {"n": 7},
+                "sweep": {"parameter": "omega", "from": 1e-4, "to": 1e-3, "points": 2},
+            },
+            "geometry.n",
+        ),
+        (
+            {
+                "task": "concurrence",
+                "parameters": {"n": 3},
+                "geometry": {"kind": "linear", "n": 4},
+            },
+            "geometry.n",
         ),
     ],
 )
