@@ -174,19 +174,30 @@ class Spectrum:
 def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     """Lowest k eigenpairs of h, or all of them.
 
-    Dense mode (n <= 14) takes k = "all", a full `eigh`, or an integer k, a
-    partial solve that computes only the lowest k pairs.  Matrix-free mode
-    (n > 14) needs an integer k and runs the iterative solver: k = 1 serves
-    ground-state quantities at any size up to the capacity cap.
+    k = 1, the ground state, always comes from the iterative solver: ARPACK's
+    Lanczos iteration on the dense matrix up to 14 qubits and matrix-free
+    above, started from the uniform superposition.  Since the ground state is
+    |00...0> up to small corrections and lies a gap of about dw below the
+    rest, a single 20-vector Krylov space finds it.
+
+    k = "all" is a full dense `eigh` and needs n <= 14.  An integer k >= 2 is
+    a partial dense solve (LAPACK evr) up to 14 qubits and the iterative
+    solver above.  Dense k >= 2 stays off ARPACK because, when the Krylov
+    space closes early (Omega = 0 makes H diagonal), ARPACK continues from a
+    random vector of its own, drawn from a process-wide generator, and the
+    result would then depend on earlier solves in the same process.
 
     Raises:
+        ValueError: k is neither "all" nor an integer in [1, 2^n].
         InsufficientSpectrumError: k = "all" above 14 qubits.
         SolverError: the iterative solver did not converge.
     """
-    if h.matrix is not None:
+    if k != "all" and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
+        raise ValueError(f'k must be "all" or an integer, got {k!r}')
+    if h.matrix is not None and k != 1:
         if k == "all":
             w, v = np.linalg.eigh(h.matrix)
-        elif 1 <= int(k) <= h.dim:
+        elif 2 <= k <= h.dim:
             w, v = scipy.linalg.eigh(h.matrix, subset_by_index=[0, int(k) - 1])
         else:
             raise ValueError(f"k must be in [1, {h.dim}], got {k}")
@@ -195,15 +206,17 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
         raise InsufficientSpectrumError(
             f"full spectrum unavailable for n={h.n} > {DENSE_LIMIT}; pass a small k"
         )
-    op = LinearOperator(
-        (h.dim, h.dim), matvec=h.apply, dtype=float  # type: ignore[arg-type]
-    )
+    op = h.matrix
+    if op is None:
+        op = LinearOperator(
+            (h.dim, h.dim), matvec=h.apply, dtype=float  # type: ignore[arg-type]
+        )
     v0 = np.full(h.dim, 1.0 / np.sqrt(h.dim))
     try:
         w, v = eigsh(op, k=int(k), which="SA", v0=v0)
     except ArpackNoConvergence as exc:
         residuals = [
-            float(np.linalg.norm(h.apply(vec) - val * vec))
+            float(np.linalg.norm(op @ vec - val * vec))
             for val, vec in zip(exc.eigenvalues, exc.eigenvectors.T)
         ]
         raise SolverError(

@@ -3,6 +3,7 @@
 import csv
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -661,3 +662,42 @@ def test_field_direction_applies_to_every_geometry_kind(tmp_path, geometry, posi
         ]
     assert columns["built_in"] == columns["custom"]
     assert any(alpha == "0.0" for _, _, alpha, _ in columns["built_in"])
+
+
+def test_ground_state_tasks_do_not_depend_on_earlier_solves(tmp_path):
+    # ARPACK continues from a random vector, drawn from one generator per
+    # process, when its Krylov space closes early: small symmetric chains and
+    # the diagonal H of omega = 0 do that.  A k = 1 task must give the same
+    # bytes whatever the process solved before it.
+    configs = [
+        write_cfg(tmp_path, {"task": "fig3b"}, "fig3b.json"),
+        write_cfg(
+            tmp_path,
+            {
+                "task": "fig5a",
+                "geometry": {"kind": "linear", "n": 3},
+                "sweep": {"parameter": "omega", "from": 0.0, "to": 1e-3, "points": 3},
+            },
+            "fig5a.json",
+        ),
+    ]
+    history = (
+        "import numpy as np\n"
+        "from scipy.sparse.linalg import eigsh\n"
+        "for _ in range(3):\n"
+        "    eigsh(np.diag([0.0, 1, 1, 1]), k=2, which='SA', v0=np.ones(4))\n"
+    )
+    src = str(Path(polarq.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    outputs = []
+    for name, before in [("fresh", ""), ("after_solves", history)]:
+        runs = [[c, str(tmp_path / f"{name}{i}.csv")] for i, c in enumerate(configs)]
+        code = before + (
+            "from polarq import cli\n"
+            f"for cfg, out in {runs!r}:\n"
+            "    assert cli.main(['run', cfg, '--out', out]) == 0\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        outputs.append([Path(out).read_bytes() for _, out in runs])
+    assert outputs[0] == outputs[1]

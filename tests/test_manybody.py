@@ -25,8 +25,10 @@ from polarq import (
     pair_couplings,
     perturbative_ground_state,
     spectrum,
+    square_array,
 )
-from polarq.lattice import PairCoupling, angular_factor
+from polarq import manybody
+from polarq.lattice import ArrayGeometry, PairCoupling, angular_factor
 from polarq.manybody import (
     InsufficientSpectrumError,
     LabelingError,
@@ -156,6 +158,60 @@ def test_partial_dense_spectrum_matches_full(qp, chain_spectrum, n):
         )
         assert np.max(np.abs(part.eigenvectors[:, 0] - full.eigenvectors[:, 0])) < 1e-10
 
+
+
+def test_ground_state_matches_full_eigh_at_strong_coupling(qp):
+    # chains along and across three field directions, up to omega/B = 30 and
+    # down to x = 0.1, where the uniform start vector is furthest from the
+    # ground state; plus the 3x3 square at n = 9 and a lone molecule
+    chains = [
+        ArrayGeometry("linear", linear_array(n).positions, field)
+        for n in range(2, 8)
+        for field in [(0, 0, 1), (1, 0, 0), (1, 1, 1)]
+    ]
+    eps = np.finfo(float).eps
+    for geom in [*chains, square_array(3, 3), linear_array(1)]:
+        for x in (0.1, 0.5, 2.0, 8.0, 20.0):
+            for omega in (1e-5, 1e-2, 1.0, 30.0):
+                h = build_hamiltonian(qp(x), pair_couplings(geom, omega), geom.n_sites)
+                full = spectrum(h, "all")
+                ground = spectrum(h, 1)
+                e = full.eigenvalues
+                scale = max(abs(e[0]), abs(e[-1]))
+                assert abs(ground.eigenvalues[0] - e[0]) <= 1e-12 * scale
+                # 1e-10, or the vector's own conditioning eps * |H| / gap where
+                # the gap is that small (1.6e-4 at n = 6, x = 2, omega = 30)
+                tol = max(1e-10, 10 * eps * scale / (e[1] - e[0]))
+                diff = ground.eigenvectors[:, 0] - full.eigenvectors[:, 0]
+                assert np.max(np.abs(diff)) <= tol, (geom, x, omega)
+
+
+def test_dense_ground_state_runs_lanczos_on_the_matrix(qp, monkeypatch):
+    operators = []
+    eigsh = manybody.eigsh
+
+    def spy(a, **kwargs):
+        operators.append(a)
+        return eigsh(a, **kwargs)
+
+    def no_apply(self, v):
+        raise AssertionError("dense k = 1 went through QubitHamiltonian.apply")
+
+    monkeypatch.setattr(manybody, "eigsh", spy)
+    monkeypatch.setattr(QubitHamiltonian, "apply", no_apply)
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(6), 1e-3), 6)
+    spectrum(h, 1)
+    assert len(operators) == 1 and operators[0] is h.matrix
+
+
+@pytest.mark.parametrize(
+    "k", [2.7, True, "3", None], ids=["float", "bool", "str", "None"]
+)
+def test_spectrum_rejects_a_k_that_is_not_all_or_an_integer(qp, k):
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(3), 1e-3), 3)
+    for mode in (h, matrix_free(h)):
+        with pytest.raises(ValueError, match="integer"):
+            spectrum(mode, k)
 
 def test_matrix_free_apply_matches_dense(qp):
     q = qp(4.9)
