@@ -389,11 +389,16 @@ def prepare_cluster_state(edges, n: int) -> StateVector:
     Raises:
         GraphError: graph has a self-loop or repeated edge.
     """
+    return _checked_cluster_state(edges, n)[0]
+
+
+def _checked_cluster_state(edges, n: int) -> tuple[StateVector, list[float]]:
+    """Cluster state and its stabilizer expectations, each within 1e-10 of 1."""
     state = simulate(cluster_circuit(edges, n))
     checks = cluster_stabilizer_check(state, edges)
     if any(abs(v - 1.0) > 1e-10 for v in checks):
         raise AssertionError(f"stabilizer check failed: {checks}")
-    return state
+    return state, checks
 
 
 def circuit_to_text(circuit: Circuit) -> str:

@@ -33,14 +33,12 @@ from .circuits import (
     StateVector,
     circuit_to_text,
     cluster_circuit,
-    cluster_stabilizer_check,
     compile_diagonal,
     iqp_probability,
     nmr_cnot_sequence,
-    prepare_cluster_state,
     simulate,
 )
-from .circuits.core import Circuit, Gate
+from .circuits.core import Circuit, Gate, _checked_cluster_state
 from .entangle import concurrence, entanglement_of_formation, reduce
 from .fits import c_fit, p_fit
 from .lattice import (
@@ -457,7 +455,7 @@ def _plan_cluster_check(cfg, params, *_) -> TaskPlan:
     meta = {"graph": label, "n": n, "edges": _join(f"{a}-{b}" for a, b in edges)}
 
     def rows():
-        checks = cluster_stabilizer_check(prepare_cluster_state(edges, n), edges)
+        _, checks = _checked_cluster_state(edges, n)
         yield from ([a, checks[a]] for a in range(n))
 
     return TaskPlan(meta, header, rows())

@@ -317,7 +317,7 @@ def test_failing_row_keeps_the_rows_before_it(tmp_path, monkeypatch, capsys):
         ),
         (
             {"task": "cluster-check"},
-            "prepare_cluster_state",
+            "_checked_cluster_state",
             ["vertex", "stabilizer_expectation"],
         ),
     ],
@@ -428,6 +428,41 @@ def test_cluster_check_grid(tmp_path):
     for row in rows:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-10)
 
+
+def test_cluster_check_checks_the_stabilizers_once(tmp_path, monkeypatch):
+    from polarq.circuits import core
+
+    calls = []
+    check = core.cluster_stabilizer_check
+
+    def spy(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(core, "cluster_stabilizer_check", spy)
+    monkeypatch.setattr(cli, "cluster_stabilizer_check", spy, raising=False)
+    cfg = write_cfg(tmp_path, {"task": "cluster-check"})
+    out = tmp_path / "cc.csv"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    _, _, rows = read_csv(str(out))
+    assert len(rows) == 3
+
+
+def test_cluster_check_fails_on_a_stabilizer_off_by_more_than_1e_10(
+    tmp_path, monkeypatch
+):
+    from polarq.circuits import core
+
+    check = core.cluster_stabilizer_check
+    monkeypatch.setattr(
+        core, "cluster_stabilizer_check", lambda *a: [v - 2e-10 for v in check(*a)]
+    )
+    cfg = write_cfg(tmp_path, {"task": "cluster-check"})
+    out = tmp_path / "cc.csv"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 3
+    _, _, rows = read_csv(str(out))
+    assert rows[0][0] == "FAILED" and "stabilizer check failed" in rows[0][1]
 
 def test_nmr_cnot_detuned_wait(tmp_path):
     cfg = write_cfg(
