@@ -201,6 +201,39 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             "geometry.n",
         ),
     ],
+    # literal ids: a case added anywhere in the list renames no other case
+    ids=[
+        "cfg0-from",
+        "cfg1-log",
+        "cfg2-omega",
+        "cfg3-sweep",
+        "cfg4-sweep",
+        "cfg5-phase",
+        "cfg6-power of two",
+        "cfg7-positions",
+        "cfg8-does not take a geometry",
+        "cfg9-pairs",
+        "cfg10-pairs",
+        "cfg11-field_direction",
+        "cfg12-omega",
+        "cfg13-omega",
+        "cfg14-n_values",
+        "cfg15-x_values",
+        "cfg16-coincide",
+        "cfg17-geometry.n",
+        "cfg18-geometry.n",
+        "cfg19-2^n levels",
+        "cfg20-2^n levels",
+        "cfg21-2^n levels",
+        "cfg22-'workers' was unexpected",
+        "cfg23-at least one qubit",
+        "cfg24-self-loop",
+        "cfg25-repeated edge",
+        "cfg26-out of range",
+        "cfg27-25 vertices",
+        "cfg28-geometry.n",
+        "cfg29-geometry.n",
+    ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, cfg)
@@ -427,6 +460,7 @@ def test_cluster_check_grid(tmp_path):
     assert len(rows) == 6
     for row in rows:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-10)
+
 
 
 def test_cluster_check_checks_the_stabilizers_once(tmp_path, monkeypatch):
