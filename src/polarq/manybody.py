@@ -9,13 +9,14 @@ The Hamiltonian, in units of B, is
       + sum_{i<j} omega_ij (1 - 3 cos^2 alpha_ij) (M_i x M_j),
 
 with M = [[c0, xme], [xme, c1]] the cos(theta) matrix in the qubit pair.
-Up to 14 qubits the Hamiltonian is a dense matrix: the full spectrum comes
-from a dense `eigh`, and the lowest k eigenpairs from a partial dense solve
-that computes only those.  Above 14 qubits only the lowest few eigenpairs are
-available, from an iterative solver that works matrix-free up to the 24-qubit
-capacity cap; that serves ground-state quantities (excitation probability,
-concurrence) at every size, while thermal populations need all 2^n levels
-and so stop at 14 qubits.
+Up to 14 qubits the Hamiltonian is a dense matrix; above that it is applied
+matrix-free, up to the 24-qubit capacity cap.  The ground state comes from
+ARPACK's Lanczos iteration at every size, on the dense matrix or matrix-free,
+and serves the excitation probability and concurrences.  The full spectrum
+is a dense `eigh`, and the lowest k >= 2 pairs a partial dense solve, up to
+14 qubits; above that only the lowest few pairs are available, from the
+iterative solver, so thermal populations, which need all 2^n levels, stop at
+14 qubits.
 """
 
 from __future__ import annotations
@@ -176,16 +177,20 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
 
     k = 1, the ground state, always comes from the iterative solver: ARPACK's
     Lanczos iteration on the dense matrix up to 14 qubits and matrix-free
-    above, started from the uniform superposition.  Since the ground state is
-    |00...0> up to small corrections and lies a gap of about dw below the
-    rest, a single 20-vector Krylov space finds it.
+    above, started from the uniform superposition.  The ground state is
+    |00...0> up to small corrections and lies about dw below every other
+    level, so a 20-vector Krylov space restarted once finds it (31
+    matrix-vector products at n = 9).
 
     k = "all" is a full dense `eigh` and needs n <= 14.  An integer k >= 2 is
     a partial dense solve (LAPACK evr) up to 14 qubits and the iterative
-    solver above.  Dense k >= 2 stays off ARPACK because, when the Krylov
-    space closes early (Omega = 0 makes H diagonal), ARPACK continues from a
-    random vector of its own, drawn from a process-wide generator, and the
-    result would then depend on earlier solves in the same process.
+    solver above.  When the Krylov space closes early (a short symmetric
+    chain, or Omega = 0, which makes H diagonal), ARPACK continues from a
+    random vector drawn from one generator per process.  The ground state
+    already lies in the closed space, so k = 1 gives the same bytes whatever
+    the process solved before.  The next pairs need the random part, which
+    would make fig4a's Omega = 0 row differ between reruns, so dense k >= 2
+    stays on evr.
 
     Raises:
         ValueError: k is neither "all" nor an integer in [1, 2^n].

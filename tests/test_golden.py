@@ -10,8 +10,8 @@ compile-diagonal's `circuit_output` metadata holds no absolute path.
 The `#` metadata, the header, the row count and every integer, boolean or
 text cell must match exactly.  Floats are compared within tolerances,
 because the CSVs are byte-identical only for a fixed BLAS thread count:
-one OpenBLAS thread against two moves p by up to 9e-16 absolute, c by
-1.6e-8 relative and fit-residuals' rel_error by 7e-5 relative.  The
+one OpenBLAS thread against two moves fig4a, fig4b and sweep, p by up to
+1.5e-22 absolute and gaps by 2.5e-15 relative.  The
 tolerances are those of bench/workloads.py: 1e-6 relative plus an
 absolute floor of 1e-14 for p_* columns, 1e-9 for c_* columns and 1e-12
 otherwise.  fit-residuals' rel_error divides a fit error by p itself, so
