@@ -71,9 +71,17 @@ class ConfigError(Exception):
 
 
 def load_config(path: str) -> dict:
+    # Python's json reads NaN, Infinity and overflowing literals such as
+    # 1e999, which strict JSON has no room for and no task can compute with
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: invalid JSON: non-finite number {text}")
+        return value
+
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

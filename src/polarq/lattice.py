@@ -44,10 +44,14 @@ class ArrayGeometry:
             raise ValueError(f"positions must be (N, 3), got shape {pos.shape}")
         if pos.shape[0] < 1:
             raise ValueError("geometry needs at least one site")
+        if not np.isfinite(pos).all():
+            raise ValueError(f"positions must be finite, got {pos.tolist()}")
         f = np.asarray(self.field_direction, dtype=float)
         norm = np.linalg.norm(f)
-        if f.shape != (3,) or norm < _MIN_SEPARATION:
-            raise ValueError(f"field_direction must be a nonzero 3-vector, got {f}")
+        if f.shape != (3,) or not np.isfinite(f).all() or norm < _MIN_SEPARATION:
+            raise ValueError(
+                f"field_direction must be a finite nonzero 3-vector, got {f}"
+            )
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "field_direction", f / norm)
 

@@ -251,6 +251,28 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     assert ":1:16:" in err  # position of the offending character
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"task": "concurrence", "geometry": '
+        '{"kind": "linear", "n": 3, "field_direction": [NaN, 0, 1]}}',
+        '{"task": "fig6a", "geometry": '
+        '{"kind": "custom", "positions": [[0, 0, 0], [Infinity, 0, 0]]}}',
+        '{"task": "gap", "parameters": {"x": -Infinity}}',
+        '{"task": "gap", "parameters": {"omega": 1e999}}',
+    ],
+    ids=["nan-field", "infinite-position", "minus-infinity", "overflow"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+        assert cli.main(argv) == 2
+        assert "non-finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_invalid_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"task": "nope"})
     out = tmp_path / "out.csv"

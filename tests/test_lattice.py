@@ -89,6 +89,11 @@ def test_degenerate_and_invalid_inputs():
         custom_array([[0, 0, 0]], field_direction=(0, 0, 0))
     with pytest.raises(ValueError):
         custom_array([[0, 0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            custom_array([[0, 0, 0], [bad, 0, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            custom_array([[0, 0, 0]], field_direction=(bad, 0, 1))
 
 
 def test_geometry_bookkeeping():
