@@ -139,7 +139,7 @@ def pair_couplings(
                 )
             if nearest_neighbors_only and abs(d - 1.0) > 1e-9:
                 continue
-            cos_a = float(np.clip(r @ f / d, -1.0, 1.0))
+            cos_a = min(1.0, max(-1.0, float(r @ f / d)))
             out.append(
                 PairCoupling(i=i, j=j, omega=omega_nn / d**3, alpha=math.acos(cos_a))
             )
