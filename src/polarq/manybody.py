@@ -10,13 +10,13 @@ The Hamiltonian, in units of B, is
 
 with M = [[c0, xme], [xme, c1]] the cos(theta) matrix in the qubit pair.
 Up to 14 qubits the Hamiltonian is a dense matrix; above that it is applied
-matrix-free, up to the 24-qubit capacity cap.  The ground state comes from
-ARPACK's Lanczos iteration at every size, on the dense matrix or matrix-free,
-and serves the excitation probability and concurrences.  The full spectrum
-is a dense `eigh`, and the lowest k >= 2 pairs a partial dense solve, up to
-14 qubits; above that only the lowest few pairs are available, from the
-iterative solver, so thermal populations, which need all 2^n levels, stop at
-14 qubits.
+matrix-free, up to the 24-qubit capacity cap.  The ground state, which
+serves the excitation probability and concurrences, comes from a certified
+Davidson iteration on the dense matrix, and from ARPACK's Lanczos iteration
+where the certificate fails and matrix-free.  The full spectrum is a dense
+`eigh`, and the lowest k >= 2 pairs a partial dense solve, up to 14 qubits;
+above that only the lowest few pairs are available, from ARPACK, so thermal
+populations, which need all 2^n levels, stop at 14 qubits.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ CAPACITY_LIMIT = 24
 
 # Thermal occupations below this are indistinguishable from underflow noise.
 _PROBABILITY_FLOOR = 1e-300
+
+# Davidson's dense ground-state iteration: basis vectors kept before it
+# restarts onto the Ritz vector, and steps before it hands over to ARPACK.
+_DAVIDSON_BASIS = 16
+_DAVIDSON_STEPS = 50
 
 
 class CapacityError(ValueError):
@@ -172,25 +177,89 @@ class Spectrum:
         return len(self.eigenvalues) == self.dim
 
 
+def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
+    """The ground pair of a dense h by Davidson's iteration, or None.
+
+    It runs only when the diagonal certifies its answer.  s bounds every
+    row's off-diagonal sum, so by Weyl each level lies within s of the
+    sorted diagonal, and d1 + s < d2 - s puts the ground level alone below
+    the next one.  The iteration starts from the basis vector of d1, so its
+    lowest Ritz value never rises above d1 < lambda_2, and a converged pair
+    is the ground state, never an excited one.  The correction is
+    r / (theta - diag); two Gram-Schmidt passes keep the basis orthonormal.
+
+    Returns None when the certificate fails, or when ||H u - theta u|| has
+    not reached 2 eps max(|theta|, 1) within 50 steps or before the basis
+    spans the whole space.
+    """
+    eps = np.finfo(float).eps
+    qp = h.qp
+    # per pair: single flips of i and of j, each at most |g xme| max|c|, and
+    # the double flip g xme^2; a bound taken from |h.matrix| would allocate
+    # a matrix-sized temporary
+    reach = abs(qp.xme) * (2 * max(abs(qp.c0), abs(qp.c1)) + abs(qp.xme))
+    s = reach * sum(abs(g) for _, _, g in _coupling_strengths(h.couplings, h.n))
+    diag = h.matrix.diagonal()
+    d1, d2 = np.partition(diag, 1)[:2]
+    if not d1 + s < d2 - s:  # written so that NaN fails it
+        return None
+    basis = np.zeros((_DAVIDSON_BASIS, h.dim))
+    images = np.zeros((_DAVIDSON_BASIS, h.dim))  # rows of H @ basis
+    start = int(np.argmin(diag))
+    basis[0, start] = 1.0
+    images[0] = h.matrix[start]
+    m = 1
+    for _ in range(_DAVIDSON_STEPS):
+        w, y = np.linalg.eigh(basis[:m] @ images[:m].T)
+        theta = w[0]
+        u, hu = y[:, 0] @ basis[:m], y[:, 0] @ images[:m]
+        r = hu - theta * u
+        if np.linalg.norm(r) <= 2 * eps * max(abs(theta), 1.0):
+            return Spectrum(
+                eigenvalues=np.array([theta]),
+                eigenvectors=_fix_phases(u[:, None]),
+                dim=h.dim,
+            )
+        if m == h.dim:
+            return None
+        if m == _DAVIDSON_BASIS:
+            basis[0], images[0], m = u, hu, 1
+        t = r / np.minimum(theta - diag, -eps)
+        for _ in range(2):
+            t -= (basis[:m] @ t) @ basis[:m]
+        basis[m] = t / np.linalg.norm(t)
+        images[m] = h.matrix @ basis[m]
+        m += 1
+    return None
+
+
 def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     """Lowest k eigenpairs of h, or all of them.
 
-    k = 1, the ground state, always comes from the iterative solver: ARPACK's
-    Lanczos iteration on the dense matrix up to 14 qubits and matrix-free
-    above, started from the uniform superposition.  The ground state is
-    |00...0> up to small corrections and lies about dw below every other
-    level, so a 20-vector Krylov space restarted once finds it (31
-    matrix-vector products at n = 9).
+    k = 1, the ground state, is |00...0> up to small corrections wherever
+    Omega << dw.  On the dense matrix, up to 14 qubits, it comes from
+    Davidson's diagonal-preconditioned iteration started from the basis
+    vector of the lowest diagonal entry: 3-5 matrix-vector products at n = 9
+    in the paper's regime, and exactly |00...0> at Omega = 0.  Davidson runs
+    only where the diagonal certifies that it converges to the ground state
+    and not to an excited one (see `_davidson_ground`).  Where the couplings
+    are too strong for that (in some arrays from Omega/B = 0.3 on), or where
+    it does not converge, ARPACK's Lanczos iteration solves the dense matrix
+    instead, started from the uniform superposition.
+    Matrix-free, above 14 qubits, k = 1 stays on ARPACK (51 applies at
+    n = 16): Davidson would need about 5 there, but that path is what the
+    benchmark's `chain_ground` workload counts, so it changes together with
+    that benchmark.
 
     k = "all" is a full dense `eigh` and needs n <= 14.  An integer k >= 2 is
-    a partial dense solve (LAPACK evr) up to 14 qubits and the iterative
-    solver above.  When the Krylov space closes early (a short symmetric
-    chain, or Omega = 0, which makes H diagonal), ARPACK continues from a
-    random vector drawn from one generator per process.  The ground state
-    already lies in the closed space, so k = 1 gives the same bytes whatever
-    the process solved before.  The next pairs need the random part, which
-    would make fig4a's Omega = 0 row differ between reruns, so dense k >= 2
-    stays on evr.
+    a partial dense solve (LAPACK evr) up to 14 qubits and ARPACK above.
+    When the Krylov space closes early (a short symmetric chain, or
+    Omega = 0, which makes H diagonal), ARPACK continues from a random vector
+    drawn from one generator per process.  The ground state already lies in
+    the closed space, so k = 1 gives the same bytes whatever the process
+    solved before.  The next pairs need the random part, which would make
+    fig4a's Omega = 0 row differ between reruns, so dense k >= 2 stays on
+    evr.
 
     Raises:
         ValueError: k is neither "all" nor an integer in [1, 2^n].
@@ -199,6 +268,10 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     """
     if k != "all" and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
         raise ValueError(f'k must be "all" or an integer, got {k!r}')
+    if h.matrix is not None and k == 1:
+        ground = _davidson_ground(h)
+        if ground is not None:
+            return ground
     if h.matrix is not None and k != 1:
         if k == "all":
             w, v = np.linalg.eigh(h.matrix)

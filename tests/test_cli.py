@@ -755,6 +755,19 @@ def test_field_direction_applies_to_every_geometry_kind(tmp_path, geometry, posi
     assert any(alpha == "0.0" for _, _, alpha, _ in columns["built_in"])
 
 
+def test_uncoupled_ground_state_tasks_report_exact_zeros(tmp_path):
+    # at omega = 0 H is diagonal and the ground state is exactly |00...0>
+    sweep = {"parameter": "omega", "from": 0.0, "to": 1e-3, "points": 2}
+    for task in ("fig3a", "fig5a"):
+        cfg = write_cfg(tmp_path, {"task": task, "sweep": sweep}, f"{task}.json")
+        out = tmp_path / f"{task}.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert header[0] == "omega" and float(rows[0][0]) == 0.0
+        assert [float(cell) for cell in rows[0][1:]] == [0.0] * (len(header) - 1)
+        assert all(float(cell) > 0.0 for cell in rows[1][1:])
+
+
 def test_ground_state_tasks_do_not_depend_on_earlier_solves(tmp_path):
     # ARPACK continues from a random vector, drawn from one generator per
     # process, when its Krylov space closes early: small symmetric chains and

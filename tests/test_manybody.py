@@ -160,22 +160,39 @@ def test_partial_dense_spectrum_matches_full(qp, chain_spectrum, n):
 
 
 
-def test_ground_state_matches_full_eigh_at_strong_coupling(qp):
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The operators that spectrum hands to ARPACK's eigsh, in call order."""
+    operators = []
+    eigsh = manybody.eigsh
+
+    def spy(a, **kwargs):
+        operators.append(a)
+        return eigsh(a, **kwargs)
+
+    monkeypatch.setattr(manybody, "eigsh", spy)
+    return operators
+
+
+def test_ground_state_matches_full_eigh_at_strong_coupling(qp, eigsh_calls):
     # chains along and across three field directions, up to omega/B = 30 and
-    # down to x = 0.1, where the uniform start vector is furthest from the
-    # ground state; plus the 3x3 square at n = 9 and a lone molecule
+    # down to x = 0.1, plus the 3x3 square at n = 9 and a lone molecule.
+    # omega = 0.1 and 0.3 sit at the edge of Davidson's certificate: some of
+    # these solves run Davidson, the rest fall back to ARPACK
     chains = [
         ArrayGeometry("linear", linear_array(n).positions, field)
         for n in range(2, 8)
         for field in [(0, 0, 1), (1, 0, 0), (1, 1, 1)]
     ]
     eps = np.finfo(float).eps
+    solves = 0
     for geom in [*chains, square_array(3, 3), linear_array(1)]:
         for x in (0.1, 0.5, 2.0, 8.0, 20.0):
-            for omega in (1e-5, 1e-2, 1.0, 30.0):
+            for omega in (1e-5, 1e-2, 0.1, 0.3, 1.0, 30.0):
                 h = build_hamiltonian(qp(x), pair_couplings(geom, omega), geom.n_sites)
                 full = spectrum(h, "all")
                 ground = spectrum(h, 1)
+                solves += 1
                 e = full.eigenvalues
                 scale = max(abs(e[0]), abs(e[-1]))
                 assert abs(ground.eigenvalues[0] - e[0]) <= 1e-12 * scale
@@ -184,24 +201,24 @@ def test_ground_state_matches_full_eigh_at_strong_coupling(qp):
                 tol = max(1e-10, 10 * eps * scale / (e[1] - e[0]))
                 diff = ground.eigenvectors[:, 0] - full.eigenvectors[:, 0]
                 assert np.max(np.abs(diff)) <= tol, (geom, x, omega)
+    assert 0 < len(eigsh_calls) < solves
 
 
-def test_dense_ground_state_runs_lanczos_on_the_matrix(qp, monkeypatch):
-    operators = []
-    eigsh = manybody.eigsh
-
-    def spy(a, **kwargs):
-        operators.append(a)
-        return eigsh(a, **kwargs)
-
+def test_certified_dense_ground_state_needs_no_arpack(qp, eigsh_calls, monkeypatch):
     def no_apply(self, v):
         raise AssertionError("dense k = 1 went through QubitHamiltonian.apply")
 
-    monkeypatch.setattr(manybody, "eigsh", spy)
     monkeypatch.setattr(QubitHamiltonian, "apply", no_apply)
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(6), 1e-3), 6)
     spectrum(h, 1)
-    assert len(operators) == 1 and operators[0] is h.matrix
+    assert eigsh_calls == []
+
+
+def test_uncertified_dense_ground_state_runs_arpack_on_the_matrix(qp, eigsh_calls):
+    # at omega/B = 30 the couplings outweigh the diagonal spacing
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(6), 30.0), 6)
+    spectrum(h, 1)
+    assert len(eigsh_calls) == 1 and eigsh_calls[0] is h.matrix
 
 
 @pytest.mark.parametrize(
