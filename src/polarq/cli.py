@@ -71,8 +71,8 @@ class ConfigError(Exception):
 
 
 def load_config(path: str) -> dict:
-    # Python's json reads NaN, Infinity and overflowing literals such as
-    # 1e999, which strict JSON has no room for and no task can compute with
+    # Python's json reads NaN and Infinity, which JSON does not allow, and
+    # turns 1e999 into inf; no task can compute with either
     def finite(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
