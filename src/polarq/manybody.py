@@ -189,8 +189,8 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
     r / (theta - diag); two Gram-Schmidt passes keep the basis orthonormal.
 
     Returns None when the certificate fails, or when ||H u - theta u|| has
-    not reached 2 eps max(|theta|, 1) within 50 steps or before the basis
-    spans the whole space.
+    not reached 2 eps max(|theta|, 1) within 50 steps or before a correction
+    stops adding a direction to the basis.
     """
     eps = np.finfo(float).eps
     qp = h.qp
@@ -220,14 +220,19 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
                 eigenvectors=_fix_phases(u[:, None]),
                 dim=h.dim,
             )
-        if m == h.dim:
-            return None
         if m == _DAVIDSON_BASIS:
             basis[0], images[0], m = u, hu, 1
         t = r / np.minimum(theta - diag, -eps)
+        norms = []
         for _ in range(2):
             t -= (basis[:m] @ t) @ basis[:m]
-        basis[m] = t / np.linalg.norm(t)
+            norms.append(np.linalg.norm(t))
+        # a second pass that removes most of what the first one left means t
+        # lay in the basis up to rounding: the basis spans the whole space,
+        # and what is left of t is neither orthogonal to it nor nonzero
+        if not norms[1] > norms[0] / 2:
+            return None
+        basis[m] = t / norms[1]
         images[m] = h.matrix @ basis[m]
         m += 1
     return None
@@ -238,18 +243,17 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
 
     k = 1, the ground state, is |00...0> up to small corrections wherever
     Omega << dw.  On the dense matrix, up to 14 qubits, it comes from
-    Davidson's diagonal-preconditioned iteration started from the basis
-    vector of the lowest diagonal entry: 3-5 matrix-vector products at n = 9
-    in the paper's regime, and exactly |00...0> at Omega = 0.  Davidson runs
-    only where the diagonal certifies that it converges to the ground state
-    and not to an excited one (see `_davidson_ground`).  Where the couplings
-    are too strong for that (in some arrays from Omega/B = 0.3 on), or where
-    it does not converge, ARPACK's Lanczos iteration solves the dense matrix
-    instead, started from the uniform superposition.
-    Matrix-free, above 14 qubits, k = 1 stays on ARPACK (51 applies at
-    n = 16): Davidson would need about 5 there, but that path is what the
-    benchmark's `chain_ground` workload counts, so it changes together with
-    that benchmark.
+    Davidson's diagonal-preconditioned iteration started from the basis vector
+    of the lowest diagonal entry: 2-4 matrix-vector products at n = 9 in the
+    paper's regime, and exactly |00...0> at Omega = 0.  Davidson runs only
+    where the diagonal certifies that it converges to the ground state and not
+    to an excited one (see `_davidson_ground`).  Where the couplings are too
+    strong for that (in some arrays from Omega/B = 0.3 on), or where it does
+    not converge, ARPACK's Lanczos iteration solves the dense matrix instead,
+    started from the uniform superposition.  Matrix-free, above 14 qubits,
+    the ground state stays on ARPACK (51 applies at n = 16): Davidson would
+    need about 5 there, but that path is what the benchmark's `chain_ground`
+    workload counts, so it changes together with that benchmark.
 
     k = "all" is a full dense `eigh` and needs n <= 14.  An integer k >= 2 is
     a partial dense solve (LAPACK evr) up to 14 qubits and ARPACK above.

@@ -204,6 +204,27 @@ def test_ground_state_matches_full_eigh_at_strong_coupling(qp, eigsh_calls):
     assert 0 < len(eigsh_calls) < solves
 
 
+def test_two_molecule_ground_state_where_davidson_runs_out_of_directions(qp):
+    # the swap-symmetric sector of a pair holds 3 of its 4 states; once
+    # Davidson's basis spans it at the rounding floor, its next correction
+    # lies in the basis (exactly 0 at x = 1.07, omega = 0.83 along the
+    # chain), and the solve must fall back to ARPACK, not divide by 0
+    eps = np.finfo(float).eps
+    for x in np.geomspace(0.05, 40, 25):
+        for field in [(0, 0, 1), (1, 0, 0)]:
+            geom = ArrayGeometry("linear", linear_array(2).positions, field)
+            for omega in np.geomspace(1e-4, 3, 25):
+                h = build_hamiltonian(qp(float(x)), pair_couplings(geom, omega), 2)
+                full = spectrum(h, "all")
+                ground = spectrum(h, 1)
+                e = full.eigenvalues
+                scale = max(abs(e[0]), abs(e[-1]))
+                assert abs(ground.eigenvalues[0] - e[0]) <= 1e-12 * scale
+                tol = max(1e-10, 10 * eps * scale / (e[1] - e[0]))
+                diff = ground.eigenvectors[:, 0] - full.eigenvectors[:, 0]
+                assert np.max(np.abs(diff)) <= tol, (field, x, omega)
+
+
 def test_certified_dense_ground_state_needs_no_arpack(qp, eigsh_calls, monkeypatch):
     def no_apply(self, v):
         raise AssertionError("dense k = 1 went through QubitHamiltonian.apply")
