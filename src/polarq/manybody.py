@@ -228,8 +228,9 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
             t -= (basis[:m] @ t) @ basis[:m]
             norms.append(np.linalg.norm(t))
         # a second pass that removes most of what the first one left means t
-        # lay in the basis up to rounding: the basis spans the whole space,
-        # and what is left of t is neither orthogonal to it nor nonzero
+        # lay in the basis up to rounding (the basis spans the whole space, or
+        # a symmetry sector that rounding cannot leave); what is left of t is
+        # then not orthogonal to the basis, or exactly 0
         if not norms[1] > norms[0] / 2:
             return None
         basis[m] = t / norms[1]
