@@ -223,17 +223,17 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
         if m == _DAVIDSON_BASIS:
             basis[0], images[0], m = u, hu, 1
         t = r / np.minimum(theta - diag, -eps)
-        norms = []
-        for _ in range(2):
-            t -= (basis[:m] @ t) @ basis[:m]
-            norms.append(np.linalg.norm(t))
+        t -= (basis[:m] @ t) @ basis[:m]
+        first = np.linalg.norm(t)
+        t -= (basis[:m] @ t) @ basis[:m]
+        norm = np.linalg.norm(t)
         # a second pass that removes most of what the first one left means t
         # lay in the basis up to rounding (the basis spans the whole space, or
         # a symmetry sector that rounding cannot leave); what is left of t is
         # then not orthogonal to the basis, or exactly 0
-        if not norms[1] > norms[0] / 2:
+        if not norm > first / 2:
             return None
-        basis[m] = t / norms[1]
+        basis[m] = t / norm
         images[m] = h.matrix @ basis[m]
         m += 1
     return None
