@@ -30,6 +30,8 @@ import numpy as np
 
 SINGLE_QUBIT_GATES = ("H", "X", "Z", "RZ")
 TWO_QUBIT_GATES = ("CNOT", "CZ", "SWAP")
+# most qubits, or molecules in the many-body module, a state vector may hold
+MAX_QUBITS = 24
 
 _SQRT_HALF = math.sqrt(0.5)
 

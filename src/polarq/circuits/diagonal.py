@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circuit, CircuitError, Gate, fwht
+from .core import MAX_QUBITS, Circuit, CircuitError, Gate, fwht
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +133,8 @@ def iqp_probability(d: DiagonalUnitary) -> float:
     The Hadamard sandwich turns the diagonal into a plain average:
     p = |mean_b e^{i theta_b}|^2.
     """
-    if d.n > 24:
-        raise ValueError(f"n={d.n} exceeds the 24-qubit cap")
+    if d.n > MAX_QUBITS:
+        raise ValueError(f"n={d.n} exceeds the {MAX_QUBITS}-qubit cap")
     return float(abs(np.mean(np.exp(1j * d.phases))) ** 2)
 
 

@@ -38,7 +38,7 @@ from .circuits import (
     nmr_cnot_sequence,
     simulate,
 )
-from .circuits.core import Circuit, Gate, _checked_cluster_state
+from .circuits.core import MAX_QUBITS, Circuit, Gate, _checked_cluster_state
 from .entangle import concurrence, entanglement_of_formation, reduce
 from .fits import c_fit, p_fit
 from .lattice import (
@@ -198,21 +198,34 @@ class TaskPlan(NamedTuple):
     rows: Iterable[list]
 
 
-def _sweep_plan(cfg, default, fixed, meta, header, row) -> TaskPlan:
+def _sweep_plan(cfg, default, defaults, meta, header, row) -> TaskPlan:
     """Rows [value, *row(point)] along the task's sweep axis.
 
     `default` is the task's (from, to, points, scale) for a config without
-    a sweep block.  Each point is `fixed` with the axis value set, and every
-    entry of `fixed` but the axis goes into `meta`.
+    a sweep block, None if it needs one.  Each point is the parameters named
+    in `defaults` but the axis, which is never read, with the axis value set.
     """
+    task, axes = cfg["task"], TASKS[cfg["task"]].axes
     sweep = cfg.get("sweep")
     if sweep is None:
+        if default is None:
+            raise ConfigError(f"sweep: task {task!r} requires a sweep block")
         keys = ("parameter", "from", "to", "points", "scale")
-        sweep = dict(zip(keys, (TASKS[cfg["task"]].axes[0], *default)))
+        sweep = dict(zip(keys, (axes[0], *default)))
     axis = sweep["parameter"]
+    if axis not in axes:
+        raise ConfigError(
+            f"sweep/parameter: task {task!r} sweeps {axes[0]!r}, got {axis!r}"
+        )
+    if sweep["from"] > sweep["to"]:
+        raise ConfigError("sweep: 'from' must be <= 'to'")
+    if sweep.get("scale") == "log" and sweep["from"] <= 0:
+        raise ConfigError("sweep/from: log scale needs a positive lower bound")
     space = np.geomspace if sweep.get("scale", "linear") == "log" else np.linspace
     values = [float(v) for v in space(sweep["from"], sweep["to"], sweep["points"])]
-    meta.update((k, v) for k, v in fixed.items() if k != axis)
+    defaults = {k: v for k, v in defaults.items() if k != axis}
+    fixed = _with_defaults(cfg.get("parameters", {}), **defaults)
+    meta.update(fixed)
     meta["sweep"] = (
         f"{axis} {sweep['from']}..{sweep['to']} points={sweep['points']} "
         f"scale={sweep.get('scale', 'linear')}"
@@ -266,8 +279,7 @@ def _plan_gap_vs_omega(cfg, params, *_) -> TaskPlan:
             for n in n_values
         ]
 
-    fixed = _with_defaults(params, x=2.0)
-    return _sweep_plan(cfg, (0.0, 0.04, 9, "linear"), fixed, meta, header, row)
+    return _sweep_plan(cfg, (0.0, 0.04, 9, "linear"), {"x": 2.0}, meta, header, row)
 
 
 def _plan_thermal_vs_kt(cfg, params, *_) -> TaskPlan:
@@ -301,15 +313,13 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
         ground = _ground(float(point["x"]), geom, point["omega"], nn_only)
         return [concurrence(reduce(ground, i, j)) for i, j in pairs]
 
-    fixed = _with_defaults(params, x=2.0, omega=1e-3)
     along_x = TASKS[cfg["task"]].axes == ("x",)
     default = (0.5, 8.0, 16, "linear") if along_x else OMEGA_LOG
-    return _sweep_plan(cfg, default, fixed, meta, header, row)
+    return _sweep_plan(cfg, default, {"x": 2.0, "omega": 1e-3}, meta, header, row)
 
 
 def _plan_sweep(cfg, params, *_) -> TaskPlan:
     """Generic one-axis sweep reporting excitation, gap, and thermal columns."""
-    fixed = _with_defaults(params, x=2.0, omega=1e-3, kt=0.0)
     geom, nn_only = _geometry(cfg)
     meta = {**_geom_meta(geom), "nearest_neighbors_only": nn_only}
 
@@ -322,7 +332,8 @@ def _plan_sweep(cfg, params, *_) -> TaskPlan:
         ]
 
     header = ["p_not", "gap", "p_thermal"]
-    return _sweep_plan(cfg, None, fixed, meta, header, row)
+    defaults = {"x": 2.0, "omega": 1e-3, "kt": 0.0}
+    return _sweep_plan(cfg, None, defaults, meta, header, row)
 
 
 def _plan_concurrence(cfg, params, *_) -> TaskPlan:
@@ -459,6 +470,9 @@ def _cluster_edges(params: dict) -> tuple[list[tuple[int, int]], int, str]:
 def _plan_cluster_check(cfg, params, *_) -> TaskPlan:
     """Prepare a cluster state and report every stabilizer expectation."""
     edges, n, label = _cluster_edges(params)
+    if n > MAX_QUBITS:
+        raise ConfigError(f"parameters: graph has {n} vertices, more than {MAX_QUBITS}")
+    cluster_circuit(edges, n)  # rejects self-loops, repeats, out of range
     header = ["vertex", "stabilizer_expectation"]
     meta = {"graph": label, "n": n, "edges": _join(f"{a}-{b}" for a, b in edges)}
 
@@ -476,6 +490,7 @@ def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
         n_values = params.get("n_values", [4, 5, 6, 7, 8])
         x_values = params.get("x_values", [2.0, 3.0, 4.9])
         omega_values = params.get("omega_values", [1e-4, 1e-3])
+        excluded = {"n_values": 1, "x_values": 0, "omega_values": 0}
         header = ["n", "x", "omega", "p_exact", "p_fit"]
         meta = {
             "which": which,
@@ -494,6 +509,7 @@ def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
     else:
         x_values = params.get("x_values", [1.0, 2.0, 4.0])
         omega = params.get("omega", 1e-3)
+        excluded = {"omega": 0}
         header = ["x", "omega", "c_exact", "c_fit"]
         meta = {"which": which, "geometry": "linear", "omega": omega, "n": 2}
         grid = [(float(x), omega) for x in x_values]
@@ -501,6 +517,12 @@ def _plan_fit_residuals(cfg, params, *_) -> TaskPlan:
         def exact_and_fit(x: float, omega: float):
             ground = _ground(x, linear_array(2), omega)
             return concurrence(reduce(ground, 0, 1)), c_fit(x, omega)
+
+    # rel_error divides by the exact value, which is 0 at omega = 0 and for
+    # one molecule; p_fit is undefined at x = 0
+    for key, bad in excluded.items():
+        if bad in np.atleast_1d(params.get(key, [])):
+            raise ConfigError(f"parameters/{key}: fit-residuals cannot take {bad}")
 
     def row(point):
         exact, fit = exact_and_fit(*point)
@@ -573,8 +595,6 @@ def _array(items: dict, size: int | None = None, min_items: int = 1) -> dict:
     return {"type": "array", "minItems": min_items, "items": items}
 
 
-# most molecules or qubits a config may ask for
-MAX_QUBITS = 24
 _NUMBER = {"type": "number"}
 _COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_QUBITS}
 _PAIR = _array({"type": "integer", "minimum": 0}, 2)
@@ -644,6 +664,35 @@ CONFIG_SCHEMA = {
 }
 
 
+class _Reads(dict):
+    """A config block that notes each key looked up; `unread` names the rest."""
+
+    def __init__(self, block: dict):
+        super().__init__(block)
+        self.update((k, _Reads(v)) for k, v in block.items() if isinstance(v, dict))
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def unread(self, path: str = "") -> list[str]:
+        out = []
+        for key, value in self.items():
+            if key not in self.read:
+                out.append(path + key)
+            elif isinstance(value, _Reads):
+                out += value.unread(f"{path}{key}/")
+        return out
+
+
 # tasks whose thermal sums need every level, hence a dense solve
 _FULL_SPECTRUM_TASKS = ("fig4b", "thermal", "sweep")
 
@@ -662,37 +711,10 @@ def validate_config(cfg) -> list[str]:
         return out
     task = cfg["task"]
     entry = TASKS[task]
-    sweep = cfg.get("sweep")
-    if sweep is not None:
-        if not entry.axes:
-            out.append(f"sweep: task {task!r} does not take a sweep block")
-        elif sweep["parameter"] not in entry.axes:
-            out.append(
-                f"sweep/parameter: task {task!r} sweeps {entry.axes[0]!r}, "
-                f"got {sweep['parameter']!r}"
-            )
-        if sweep["from"] > sweep["to"]:
-            out.append("sweep: 'from' must be <= 'to'")
-        if sweep.get("scale") == "log" and sweep["from"] <= 0:
-            out.append("sweep/from: log scale needs a positive lower bound")
-    elif task == "sweep":
-        out.append("sweep: task 'sweep' requires a sweep block")
     params = cfg.get("parameters", {})
     # molecule count of a task without geometry; set below from a geometry
     sites = None if entry.geometry else params.get("n")
-    if task in ("compile-diagonal", "iqp"):
-        sources = [
-            k for k in ("phases", "phases_file", "random_qubits") if k in params
-        ]
-        if len(sources) > 1:
-            out.append(f"parameters: give only one phase source, got {sources}")
-        if "phases" in params:
-            m = len(params["phases"])
-            if m & (m - 1) or m < 2:
-                out.append(f"parameters/phases: length {m} is not a power of two")
     geom = cfg.get("geometry", {})
-    if "geometry" in cfg and entry.geometry is None:
-        out.append(f"geometry: task {task!r} does not take a geometry block")
     if geom.get("kind") == "custom" and "positions" not in geom:
         out.append("geometry: custom geometry requires positions")
     elif entry.geometry is not None:
@@ -708,37 +730,22 @@ def validate_config(cfg) -> list[str]:
                 for p in params.get("pairs", [])
                 if p[0] == p[1] or max(p) >= sites
             ]
-        if "n" in params:
-            out.append(
-                f"parameters/n: task {task!r} sizes its array from geometry; "
-                "set geometry.n instead"
-            )
     if task in _FULL_SPECTRUM_TASKS and sites is not None and sites > DENSE_LIMIT:
         out.append(
             f"{'geometry' if entry.geometry else 'parameters/n'}: task {task!r} "
             f"needs all 2^n levels, computed only up to n={DENSE_LIMIT}; "
             f"got n={sites}"
         )
-    if task == "fit-residuals":
-        # rel_error divides by the exact value, which is 0 at omega = 0 and
-        # for one molecule; p_fit is undefined at x = 0
-        if params.get("which", "p") == "p":
-            excluded = [("n_values", 1), ("x_values", 0), ("omega_values", 0)]
-        else:
-            excluded = [("omega", 0)]
-        for key, bad in excluded:
-            if bad in np.atleast_1d(params.get(key, [])):
-                out.append(f"parameters/{key}: fit-residuals cannot take {bad}")
-    if task == "cluster-check":
-        edges, n, _ = _cluster_edges(params)
-        if n > MAX_QUBITS:
-            out.append(f"parameters: graph has {n} vertices, more than {MAX_QUBITS}")
-        else:
-            try:
-                cluster_circuit(edges, n)  # rejects self-loops, repeats, out of range
-            except ValueError as exc:
-                out.append(f"parameters: {exc}")
-    return out
+    if out:
+        return out
+    # planning rejects what it cannot resolve, and a key it never reads
+    view = _Reads(cfg)
+    view.read.update(("task", "output"))
+    try:
+        entry.plan(view, view.get("parameters", {}), 0, "")
+    except (ConfigError, OSError, ValueError) as exc:
+        return [str(exc)]
+    return [f"{path}: task {task!r} does not read this key" for path in view.unread()]
 
 
 def _write_csv(path, task, metadata, header, rows, failure=None) -> None:

@@ -28,11 +28,11 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from .circuits.core import MAX_QUBITS
 from .lattice import PairCoupling, angular_factor
 from .pendular import QubitPair, _fix_phases
 
 DENSE_LIMIT = 14
-CAPACITY_LIMIT = 24
 
 # Thermal occupations below this are indistinguishable from underflow noise.
 _PROBABILITY_FLOOR = 1e-300
@@ -130,8 +130,8 @@ def build_hamiltonian(
     """
     if n < 1:
         raise ValueError(f"need at least one molecule, got n={n}")
-    if n > CAPACITY_LIMIT:
-        raise CapacityError(f"n={n} exceeds the {CAPACITY_LIMIT}-molecule cap")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"n={n} exceeds the {MAX_QUBITS}-molecule cap")
     strengths = _coupling_strengths(couplings, n)
     dim = 1 << n
     if n > DENSE_LIMIT:
@@ -385,8 +385,8 @@ def perturbative_ground_state(
     """
     if n < 1:
         raise ValueError(f"need at least one molecule, got n={n}")
-    if n > CAPACITY_LIMIT:
-        raise CapacityError(f"n={n} exceeds the {CAPACITY_LIMIT}-molecule cap")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"n={n} exceeds the {MAX_QUBITS}-molecule cap")
     strengths = _coupling_strengths(couplings, n)
     dw = qp.dw
     if dw == 0:

@@ -111,14 +111,14 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
                 "task": "iqp",
                 "parameters": {"phases": [0.0, 1.0], "random_qubits": 2},
             },
-            "phase",
+            "parameters/random_qubits",
         ),
         ({"task": "iqp", "parameters": {"phases": [0.0, 1.0, 2.0]}}, "power of two"),
         ({"task": "gap", "geometry": {"kind": "custom"}}, "positions"),
         # accepted by the schema, then ignored or failed at run time
         (
             {"task": "fig3a", "geometry": {"kind": "square", "rows": 2, "cols": 2}},
-            "does not take a geometry",
+            "geometry",
         ),
         ({"task": "fig5a", "parameters": {"pairs": [[0, 20]]}}, "pairs"),
         ({"task": "fig6b", "parameters": {"pairs": [[1, 1]]}}, "pairs"),
@@ -150,8 +150,8 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             },
             "coincide",
         ),
-        ({"task": "fig5a", "parameters": {"n": 3}}, "geometry.n"),
-        ({"task": "fig6b", "parameters": {"n": 9}}, "geometry.n"),
+        ({"task": "fig5a", "parameters": {"n": 3}}, "parameters/n"),
+        ({"task": "fig6b", "parameters": {"n": 9}}, "parameters/n"),
         # the thermal sum needs every level, which only the dense solver gives
         ({"task": "fig4b", "parameters": {"n": 15}}, "2^n levels"),
         ({"task": "thermal", "parameters": {"n": 15}}, "2^n levels"),
@@ -190,7 +190,7 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
                 "parameters": {"n": 7},
                 "sweep": {"parameter": "omega", "from": 1e-4, "to": 1e-3, "points": 2},
             },
-            "geometry.n",
+            "parameters/n",
         ),
         (
             {
@@ -198,8 +198,44 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
                 "parameters": {"n": 3},
                 "geometry": {"kind": "linear", "n": 4},
             },
-            "geometry.n",
+            "parameters/n",
         ),
+        # keys the task never reads, which a run would ignore
+        ({"task": "fig4a", "parameters": {"omega": 0.5}}, "parameters/omega"),
+        ({"task": "fig3a", "parameters": {"x": 7}}, "parameters/x"),
+        ({"task": "fig5a", "parameters": {"kt": 1}}, "parameters/kt"),
+        ({"task": "nmr-cnot", "parameters": {"eps": 0.1}}, "parameters/eps"),
+        (
+            {"task": "concurrence", "geometry": {"kind": "linear", "n": 3, "rows": 4}},
+            "geometry/rows",
+        ),
+        (
+            {
+                "task": "fig6a",
+                "geometry": {
+                    "kind": "custom",
+                    "positions": [[0, 0, 0], [1, 0, 0]],
+                    "n": 2,
+                },
+            },
+            "geometry/n",
+        ),
+        (
+            {
+                "task": "cluster-check",
+                "parameters": {"edges": [[0, 1]], "graph": "grid"},
+            },
+            "parameters/graph",
+        ),
+        (
+            {
+                "task": "fit-residuals",
+                "parameters": {"which": "concurrence", "n_values": [2]},
+            },
+            "parameters/n_values",
+        ),
+        # the sweep axis replaces its parameter
+        ({"task": "fig5a", "parameters": {"omega": 1e-4}}, "parameters/omega"),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -233,12 +269,48 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg27-25 vertices",
         "cfg28-geometry.n",
         "cfg29-geometry.n",
+        "cfg30-fig4a omega",
+        "cfg31-fig3a x",
+        "cfg32-fig5a kt",
+        "cfg33-nmr-cnot eps",
+        "cfg34-linear geometry rows",
+        "cfg35-custom geometry n",
+        "cfg36-edges and graph",
+        "cfg37-concurrence fit n_values",
+        "cfg38-fig5a omega along its axis",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, cfg)
     assert cli.main(["validate", path]) == 2
     assert needle in capsys.readouterr().out
+
+
+def test_sweep_task_without_a_sweep_block_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert cli.run({"task": "sweep"}, str(out), 0) == 2
+    assert "requires a sweep block" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_opens_the_phases_file(tmp_path, capsys):
+    not_a_list = tmp_path / "phases.json"
+    not_a_list.write_text('{"phases": [0.0, 1.0]}')
+    for path in (tmp_path / "absent.json", not_a_list):
+        cfg = {"task": "compile-diagonal", "parameters": {"phases_file": str(path)}}
+        assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == 2
+        assert path.name in capsys.readouterr().out
+
+
+def test_readme_examples_validate(tmp_path, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```json\n")[1:]
+    assert blocks
+    for block in blocks:
+        path = tmp_path / "example.json"
+        path.write_text(block.split("```")[0])
+        assert cli.main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
 
 
 def test_missing_and_malformed_config(tmp_path, capsys):
