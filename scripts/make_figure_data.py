@@ -5,9 +5,7 @@ Usage: python scripts/make_figure_data.py [outdir]
 """
 
 import argparse
-import json
 import sys
-import tempfile
 from pathlib import Path
 
 from polarq import cli
@@ -23,13 +21,8 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     status = 0
     for task in FIGURE_TASKS:
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, encoding="utf-8"
-        ) as f:
-            json.dump({"task": task}, f)
-            cfg_path = f.name
         out = outdir / f"{task}.csv"
-        code = cli.main(["run", cfg_path, "--out", str(out)])
+        code = cli.run({"task": task}, str(out), 0)
         print(f"{task}: exit {code} -> {out}")
         status = status or code
     return status

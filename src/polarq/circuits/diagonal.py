@@ -30,6 +30,8 @@ class DiagonalUnitary:
     phases: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need at least one qubit, got n={self.n}")
         p = np.asarray(self.phases, dtype=float)
         if p.shape != (1 << self.n,):
             raise ValueError(f"need {1 << self.n} phases for n={self.n}, got {p.shape}")

@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands:
-    run <config.json>       execute a task and write a CSV result
-    validate <config.json>  schema-check a config and list violations
+    run <config.json>       check a config, execute its task, write a CSV
+    validate <config.json>  check a config and list its violations
 
-Configs are JSON documents checked against CONFIG_SCHEMA (published as
-docs/config.schema.json).  Every task writes a CSV whose leading comment
-block (# key=value) records the resolved inputs and tool version, followed
-by a header row and data rows; identical configs give byte-identical files
-at a fixed BLAS thread count.  Exit codes: 0 success, 2 config error, 3
-solver failure (partial rows are flushed with a FAILED sentinel row).
+Both check a config in one pass, plan_config: the schema CONFIG_SCHEMA
+(published as docs/config.schema.json), then the task's planner, which
+rejects what it cannot resolve and every key it never reads.  Every task
+writes a CSV whose leading comment block (# key=value) records the
+resolved inputs and tool version, followed by a header row and data rows;
+identical configs give byte-identical files at a fixed BLAS thread count.
+Exit codes: 0 success, 2 config error, 3 solver failure (partial rows are
+flushed with a FAILED sentinel row).
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ OMEGA_LOG = (1e-5, 1e-3, 9, "log")
 
 
 class ConfigError(Exception):
-    """Config file unreadable, unparsable, or schema-invalid."""
+    """A config that cannot be read, parsed or planned; one violation a line."""
 
 
 def load_config(path: str) -> dict:
@@ -100,14 +102,39 @@ def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
     kind, n = TASKS[cfg["task"]].geometry
     g = cfg.get("geometry", {})
     kind = g.get("kind", kind)
-    if kind == "linear":
-        geom = linear_array(g.get("n", n))
-    elif kind == "square":
-        geom = square_array(g.get("rows", 3), g.get("cols", 3))
-    else:
-        geom = custom_array(g["positions"])
-    geom = ArrayGeometry(geom.kind, geom.positions, g.get("field_direction", (0, 0, 1)))
-    return geom, g.get("nearest_neighbors_only", False)
+    if kind == "custom" and "positions" not in g:
+        raise ConfigError("geometry: custom geometry requires positions")
+    try:
+        if kind == "linear":
+            geom = linear_array(g.get("n", n))
+        elif kind == "square":
+            geom = square_array(g.get("rows", 3), g.get("cols", 3))
+        else:
+            geom = custom_array(g["positions"])
+        field = g.get("field_direction", (0, 0, 1))
+        geom = ArrayGeometry(geom.kind, geom.positions, field)
+        nn_only = g.get("nearest_neighbors_only", False)
+        pair_couplings(geom, 1.0, nn_only)  # rejects coincident sites
+    except ValueError as exc:
+        raise ConfigError(f"geometry: {exc}") from exc
+    return geom, nn_only
+
+
+def _pairs(params: dict, n: int) -> list[tuple[int, int]] | None:
+    """parameters.pairs as tuples, None without it; each must be two of n sites."""
+    if "pairs" not in params:
+        return None
+    bad = [p for p in params["pairs"] if p[0] == p[1] or max(p) >= n]
+    if bad:
+        raise ConfigError(f"parameters/pairs: not two distinct sites of {n}: {bad}")
+    return [tuple(p) for p in params["pairs"]]
+
+
+def _needs_all_levels(task: str, n: int, where: str) -> None:
+    """Reject an array whose full spectrum is too big to solve densely."""
+    if n > DENSE_LIMIT:
+        levels = f"all 2^n levels, computed only up to n={DENSE_LIMIT}"
+        raise ConfigError(f"{where}: task {task!r} needs {levels}; got n={n}")
 
 
 def _solve(x: float, geom: ArrayGeometry, omega: float, k, nn_only: bool = False):
@@ -285,6 +312,7 @@ def _plan_gap_vs_omega(cfg, params, *_) -> TaskPlan:
 def _plan_thermal_vs_kt(cfg, params, *_) -> TaskPlan:
     """fig4b: thermal excitation probability vs temperature."""
     fixed = _with_defaults(params, x=2.0, n=8, omega=1e-4)
+    _needs_all_levels("fig4b", fixed["n"], "parameters/n")
     x, geom = float(fixed["x"]), linear_array(fixed["n"])
     # one full spectrum, solved with the first row, serves every temperature
     spec = functools.cache(lambda: _solve(x, geom, fixed["omega"], "all"))
@@ -300,8 +328,7 @@ def _plan_thermal_vs_kt(cfg, params, *_) -> TaskPlan:
 def _plan_concurrences(cfg, params, *_) -> TaskPlan:
     """fig5a-6b: concurrences with site 0, or of given pairs, along omega or x."""
     geom, nn_only = _geometry(cfg)
-    pairs = params.get("pairs", [(0, k) for k in range(1, geom.n_sites)])
-    pairs = [tuple(p) for p in pairs]
+    pairs = _pairs(params, geom.n_sites) or [(0, k) for k in range(1, geom.n_sites)]
     header = [f"c_{i}{j}" for i, j in pairs]
     meta = {
         **_geom_meta(geom),
@@ -321,6 +348,7 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
 def _plan_sweep(cfg, params, *_) -> TaskPlan:
     """Generic one-axis sweep reporting excitation, gap, and thermal columns."""
     geom, nn_only = _geometry(cfg)
+    _needs_all_levels("sweep", geom.n_sites, "geometry")
     meta = {**_geom_meta(geom), "nearest_neighbors_only": nn_only}
 
     def row(point):
@@ -343,8 +371,8 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     geom, nn_only = _geometry(cfg)
     header = ["i", "j", "omega_ij", "alpha_ij", "concurrence", "eof"]
     meta = {**_geom_meta(geom), **point, "nearest_neighbors_only": nn_only}
-    if "pairs" in params:
-        pairs = [tuple(p) for p in params["pairs"]]
+    pairs = _pairs(params, geom.n_sites)
+    if pairs:
         meta["pairs"] = _join(f"{i}-{j}" for i, j in pairs)
     else:
         pairs = itertools.combinations(range(geom.n_sites), 2)
@@ -366,6 +394,7 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
 def _plan_thermal(cfg, params, *_) -> TaskPlan:
     """Single-shot thermal excitation probability."""
     point = _with_defaults(params, n=8, x=2.0, omega=1e-4, kt=2e-3)
+    _needs_all_levels("thermal", point["n"], "parameters/n")
 
     def rows():
         geom = linear_array(point["n"])
@@ -626,7 +655,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "parameter": {"enum": ["omega", "x", "kt"]},
-                "from": _NUMBER,
+                "from": {"type": "number", "minimum": 0},
                 "to": _NUMBER,
                 "points": {"type": "integer", "minimum": 1},
                 "scale": {"enum": ["linear", "log"]},
@@ -693,59 +722,27 @@ class _Reads(dict):
         return out
 
 
-# tasks whose thermal sums need every level, hence a dense solve
-_FULL_SPECTRUM_TASKS = ("fig4b", "thermal", "sweep")
-
-
-def validate_config(cfg) -> list[str]:
-    """All schema and consistency violations, empty when the config is good."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    out = []
-    for err in sorted(
-        validator.iter_errors(cfg),
-        key=lambda e: "/".join(str(p) for p in e.absolute_path),
-    ):
-        where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        out.append(f"{where}: {err.message}")
-    if out or not isinstance(cfg, dict):
-        return out
+def plan_config(cfg, seed: int = 0, out_path: str = "") -> TaskPlan:
+    """Schema-check and plan a config; ConfigError lists every violation."""
+    errors = [
+        ("/".join(map(str, e.absolute_path)), e.message)
+        for e in jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg)
+    ]
+    if errors:
+        errors.sort(key=lambda e: e[0])  # stable: a path keeps its errors' order
+        raise ConfigError("\n".join(f"{p or '(top level)'}: {m}" for p, m in errors))
+    # planning solves nothing; it rejects what it cannot resolve and unread keys
     task = cfg["task"]
-    entry = TASKS[task]
-    params = cfg.get("parameters", {})
-    # molecule count of a task without geometry; set below from a geometry
-    sites = None if entry.geometry else params.get("n")
-    geom = cfg.get("geometry", {})
-    if geom.get("kind") == "custom" and "positions" not in geom:
-        out.append("geometry: custom geometry requires positions")
-    elif entry.geometry is not None:
-        try:
-            array, nn_only = _geometry(cfg)
-            pair_couplings(array, 1.0, nn_only)  # rejects coincident sites
-        except ValueError as exc:
-            out.append(f"geometry: {exc}")
-        else:
-            sites = array.n_sites
-            out += [
-                f"parameters/pairs: {p} is not two distinct sites of {sites}"
-                for p in params.get("pairs", [])
-                if p[0] == p[1] or max(p) >= sites
-            ]
-    if task in _FULL_SPECTRUM_TASKS and sites is not None and sites > DENSE_LIMIT:
-        out.append(
-            f"{'geometry' if entry.geometry else 'parameters/n'}: task {task!r} "
-            f"needs all 2^n levels, computed only up to n={DENSE_LIMIT}; "
-            f"got n={sites}"
-        )
-    if out:
-        return out
-    # planning rejects what it cannot resolve, and a key it never reads
     view = _Reads(cfg)
     view.read.update(("task", "output"))
     try:
-        entry.plan(view, view.get("parameters", {}), 0, "")
+        plan = TASKS[task].plan(view, view.get("parameters", {}), seed, out_path)
     except (ConfigError, OSError, ValueError) as exc:
-        return [str(exc)]
-    return [f"{path}: task {task!r} does not read this key" for path in view.unread()]
+        raise ConfigError(str(exc)) from exc
+    unread = [f"{path}: task {task!r} does not read this key" for path in view.unread()]
+    if unread:
+        raise ConfigError("\n".join(unread))
+    return plan
 
 
 def _write_csv(path, task, metadata, header, rows, failure=None) -> None:
@@ -763,14 +760,12 @@ def _write_csv(path, task, metadata, header, rows, failure=None) -> None:
 
 
 def run(cfg: dict, out_path: str, seed: int) -> int:
-    """Execute a validated config; returns the process exit code."""
-    task = cfg["task"]
+    """Plan a config and write its CSV, none if rejected; returns the exit code."""
     try:
-        if task not in TASKS:
-            raise ConfigError(f"unknown task {task!r}")
-        plan = TASKS[task].plan(cfg, cfg.get("parameters", {}), seed, out_path)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        plan = plan_config(cfg, seed, out_path)
+    except ConfigError as exc:
+        for violation in str(exc).splitlines():
+            print(f"error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
     rows = []
     failure = None
@@ -779,7 +774,7 @@ def run(cfg: dict, out_path: str, seed: int) -> int:
             rows.append(row)
     except Exception as exc:  # noqa: BLE001 - every solver failure maps to exit 3
         failure = f"{type(exc).__name__}: {exc}"
-    _write_csv(out_path, task, plan.metadata, plan.header, rows, failure)
+    _write_csv(out_path, cfg["task"], plan.metadata, plan.header, rows, failure)
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         print(f"partial results in {out_path}", file=sys.stderr)
@@ -812,16 +807,18 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    violations = validate_config(cfg)
-    if args.command == "validate":
-        print("\n".join(violations) or "ok")
-        return EXIT_CONFIG if violations else EXIT_OK
-    if violations:
-        for v in violations:
-            print(f"error: {v}", file=sys.stderr)
+    if args.command == "run":
+        # run rejects a config that is not an object before it uses the path
+        named = cfg if isinstance(cfg, dict) else {}
+        out_path = args.out or named.get("output") or f"{named.get('task')}.csv"
+        return run(cfg, out_path, args.seed)
+    try:
+        plan_config(cfg)
+    except ConfigError as exc:
+        print(exc)
         return EXIT_CONFIG
-    out_path = args.out or cfg.get("output") or f"{cfg['task']}.csv"
-    return run(cfg, out_path, args.seed)
+    print("ok")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -114,7 +114,7 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             "parameters/random_qubits",
         ),
         ({"task": "iqp", "parameters": {"phases": [0.0, 1.0, 2.0]}}, "power of two"),
-        ({"task": "gap", "geometry": {"kind": "custom"}}, "positions"),
+        ({"task": "gap", "geometry": {"kind": "custom"}}, "geometry"),
         # accepted by the schema, then ignored or failed at run time
         (
             {"task": "fig3a", "geometry": {"kind": "square", "rows": 2, "cols": 2}},
@@ -236,6 +236,30 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         ),
         # the sweep axis replaces its parameter
         ({"task": "fig5a", "parameters": {"omega": 1e-4}}, "parameters/omega"),
+        # every sweep axis is >= 0, so a sweep may not start below 0
+        (
+            {
+                "task": "fig4b",
+                "sweep": {"parameter": "kt", "from": -0.1, "to": 0.1, "points": 3},
+                "parameters": {"n": 3},
+            },
+            "sweep/from",
+        ),
+        (
+            {
+                "task": "fig5b",
+                "sweep": {"parameter": "x", "from": -1.0, "to": 1.0, "points": 3},
+            },
+            "sweep/from",
+        ),
+        (
+            {
+                "task": "fig3a",
+                "sweep": {"parameter": "omega", "from": -0.001, "to": 0.0, "points": 2},
+            },
+            "sweep/from",
+        ),
+        ({"task": "concurrence", "geometry": {"kind": "custom"}}, "positions"),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -278,12 +302,24 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg36-edges and graph",
         "cfg37-concurrence fit n_values",
         "cfg38-fig5a omega along its axis",
+        "cfg39-fig4b kt from below 0",
+        "cfg40-fig5b x from below 0",
+        "cfg41-fig3a omega from below 0",
+        "cfg42-custom geometry without positions",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, cfg)
     assert cli.main(["validate", path]) == 2
-    assert needle in capsys.readouterr().out
+    violations = capsys.readouterr().out
+    assert needle in violations
+    # run checks the config as validate does, and writes nothing
+    out = tmp_path / "out.csv"
+    assert cli.run(cfg, str(out), 0) == 2
+    assert capsys.readouterr().err == "".join(
+        f"error: {line}\n" for line in violations.splitlines()
+    )
+    assert not out.exists()
 
 
 def test_sweep_task_without_a_sweep_block_is_a_config_error(tmp_path, capsys):
@@ -296,10 +332,30 @@ def test_sweep_task_without_a_sweep_block_is_a_config_error(tmp_path, capsys):
 def test_validate_opens_the_phases_file(tmp_path, capsys):
     not_a_list = tmp_path / "phases.json"
     not_a_list.write_text('{"phases": [0.0, 1.0]}')
-    for path in (tmp_path / "absent.json", not_a_list):
+    one_number = tmp_path / "one.json"
+    one_number.write_text("[0.5]")
+    for path, needle in [
+        (tmp_path / "absent.json", "absent.json"),
+        (not_a_list, "phases.json"),
+        (one_number, "at least one qubit"),
+    ]:
         cfg = {"task": "compile-diagonal", "parameters": {"phases_file": str(path)}}
         assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == 2
-        assert path.name in capsys.readouterr().out
+        assert needle in capsys.readouterr().out
+
+
+def test_run_plans_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return resolve_phases(*args)
+
+    resolve_phases = cli._resolve_phases
+    monkeypatch.setattr(cli, "_resolve_phases", spy)
+    cfg = write_cfg(tmp_path, {"task": "compile-diagonal"})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "cd.csv")]) == 0
+    assert len(calls) == 1  # one phases_file read, one draw of random phases
 
 
 def test_readme_examples_validate(tmp_path, capsys):
@@ -794,7 +850,7 @@ def test_concurrence_builds_its_couplings_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "pair_couplings", spy)
     cfg = write_cfg(tmp_path, {"task": "concurrence"})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "c.csv")]) == 0
-    assert len(calls) == 2  # validation's check for coincident sites, then the run
+    assert len(calls) == 2  # the plan's check for coincident sites, then the row
 
 
 @pytest.mark.parametrize(

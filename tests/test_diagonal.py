@@ -82,6 +82,8 @@ def test_from_phases_validation():
         DiagonalUnitary.from_phases([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         DiagonalUnitary.from_phases([float("nan"), 0.0])
+    with pytest.raises(ValueError, match="at least one qubit"):
+        DiagonalUnitary.from_phases([0.5])
 
 
 def test_canonical_wraps_into_half_open_interval():
