@@ -17,6 +17,10 @@ where the certificate fails and matrix-free.  The full spectrum is a dense
 `eigh`, and the lowest k >= 2 pairs a partial dense solve, up to 14 qubits;
 above that only the lowest few pairs are available, from ARPACK, so thermal
 populations, which need all 2^n levels, stop at 14 qubits.
+
+scipy is imported only by the two solves that use it: scipy.linalg by the
+partial dense solve (k >= 2: the gap task and fig4a), scipy.sparse.linalg by
+ARPACK.  Importing this module loads no part of scipy.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .circuits.core import MAX_QUBITS
 from .lattice import PairCoupling, angular_factor
@@ -267,12 +269,25 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     evr.
 
     Raises:
-        ValueError: k is neither "all" nor an integer in [1, 2^n].
+        ValueError: k is neither "all" nor an integer in [1, 2^n]; above 14
+            qubits, in [1, 2^n - 2], since ARPACK needs k < 2^n - 1.
         InsufficientSpectrumError: k = "all" above 14 qubits.
         SolverError: the iterative solver did not converge.
     """
     if k != "all" and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
         raise ValueError(f'k must be "all" or an integer, got {k!r}')
+    if h.matrix is None:
+        if k == "all":
+            raise InsufficientSpectrumError(
+                f"full spectrum unavailable for n={h.n} > {DENSE_LIMIT}; pass a small k"
+            )
+        if not 1 <= k < h.dim - 1:
+            raise ValueError(
+                f"k must be in [1, {h.dim - 2}] matrix-free, below ARPACK's "
+                f"limit 2^n - 1 = {h.dim - 1}, got {k}"
+            )
+    elif k != "all" and not 1 <= k <= h.dim:
+        raise ValueError(f"k must be in [1, {h.dim}], got {k}")
     if h.matrix is not None and k == 1:
         ground = _davidson_ground(h)
         if ground is not None:
@@ -280,15 +295,16 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     if h.matrix is not None and k != 1:
         if k == "all":
             w, v = np.linalg.eigh(h.matrix)
-        elif 2 <= k <= h.dim:
-            w, v = scipy.linalg.eigh(h.matrix, subset_by_index=[0, int(k) - 1])
         else:
-            raise ValueError(f"k must be in [1, {h.dim}], got {k}")
+            # scipy is imported here and before ARPACK below, not at module
+            # level: scipy.linalg with scipy.sparse.linalg cost 0.27 s of the
+            # 0.60 s `import polarq.cli` (2 vCPUs), and most runs call neither
+            import scipy.linalg
+
+            w, v = scipy.linalg.eigh(h.matrix, subset_by_index=[0, int(k) - 1])
         return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(v), dim=h.dim)
-    if k == "all":
-        raise InsufficientSpectrumError(
-            f"full spectrum unavailable for n={h.n} > {DENSE_LIMIT}; pass a small k"
-        )
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     op = h.matrix
     if op is None:
         op = LinearOperator(

@@ -11,6 +11,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,13 +165,13 @@ def test_partial_dense_spectrum_matches_full(qp, chain_spectrum, n):
 def eigsh_calls(monkeypatch):
     """The operators that spectrum hands to ARPACK's eigsh, in call order."""
     operators = []
-    eigsh = manybody.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def spy(a, **kwargs):
         operators.append(a)
         return eigsh(a, **kwargs)
 
-    monkeypatch.setattr(manybody, "eigsh", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     return operators
 
 
@@ -250,6 +251,16 @@ def test_spectrum_rejects_a_k_that_is_not_all_or_an_integer(qp, k):
     for mode in (h, matrix_free(h)):
         with pytest.raises(ValueError, match="integer"):
             spectrum(mode, k)
+
+
+@pytest.mark.parametrize("k", [0, 2**15])
+def test_matrix_free_spectrum_rejects_k_outside_arpacks_range(qp, k):
+    # the build is matrix-free at n = 15, so nothing is solved or allocated
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(15), 1e-3), 15)
+    assert h.matrix is None
+    with pytest.raises(ValueError, match=r"\[1, 32766\].*2\^n - 1"):
+        spectrum(h, k)
+
 
 def test_matrix_free_apply_matches_dense(qp):
     q = qp(4.9)

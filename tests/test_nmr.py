@@ -107,12 +107,14 @@ def test_closed_form_frame_is_never_worse_than_nelder_mead():
 
 
 def test_cli_import_does_not_load_scipy_optimize():
+    # nor scipy.linalg and scipy.sparse, which only some solver paths import
     src = str(Path(polarq.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, polarq.cli; print('scipy.optimize' in sys.modules)"
+    modules = ["scipy.optimize", "scipy.linalg", "scipy.sparse"]
+    code = f"import sys, polarq.cli; print([m in sys.modules for m in {modules!r}])"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=env,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False]"
