@@ -3,9 +3,11 @@
 
 Covers the excitation-probability fit over its (n, x, omega) grid and the
 concurrence fit at n=2 over its calibration grid, and prints max/mean
-relative errors per grid.  The concurrence part also refits K(x) to the
-exact values the way FitParamsK was obtained (least squares in relative
-error, x0 >= 0) and prints the parameters it finds.
+relative errors per grid.  The exact values are the rows of the
+fit-residuals task, so they match its CSV digit for digit.  The concurrence
+part also refits K(x) to the exact values the way FitParamsK was obtained
+(least squares in relative error, x0 >= 0) and prints the parameters it
+finds.
 
 Usage: python scripts/fit_residual_report.py
 """
@@ -15,64 +17,40 @@ import sys
 import numpy as np
 from scipy.optimize import least_squares
 
-from polarq import (
-    build_hamiltonian,
-    c_fit,
-    concurrence,
-    linear_array,
-    p_fit,
-    p_not_all_zero,
-    pair_couplings,
-    qubit_pair,
-    reduce,
-    residual_report,
-    solve_pendular,
-    spectrum,
-)
+from polarq import residual_report
+from polarq.cli import plan_config
 from polarq.fits import K_FIT_X_MAX, K_FIT_X_MIN, K_FIT_X_STEP
 
 
-def _ground(qp, n, omega):
-    h = build_hamiltonian(qp, pair_couplings(linear_array(n), omega), n)
-    return spectrum(h, "all").eigenvectors[:, 0]
+def _rows(parameters: dict) -> np.ndarray:
+    cfg = {"task": "fit-residuals", "parameters": parameters}
+    return np.array(list(plan_config(cfg).rows))
 
 
 def main() -> int:
     print("excitation-probability fit, linear chains")
     print(f"{'n':>3} {'x':>5} {'omega':>9} {'exact':>12} {'fit':>12} {'rel':>8}")
-    exact_vals, fit_vals = [], []
-    for x in (2.0, 3.0, 4.9):
-        qp = qubit_pair(solve_pendular(x))
-        for n in range(4, 9):
-            for omega in (1e-4, 1e-3):
-                exact = p_not_all_zero(_ground(qp, n, omega))
-                fit = p_fit(n, x, omega)
-                exact_vals.append(exact)
-                fit_vals.append(fit)
-                rel = abs(fit - exact) / exact
-                print(
-                    f"{n:>3} {x:>5} {omega:>9.0e} {exact:>12.4e} "
-                    f"{fit:>12.4e} {rel:>8.2%}"
-                )
-    rep = residual_report(np.array(exact_vals), np.array(fit_vals))
+    rows = _rows({})
+    for n, x, omega, exact, fit, rel in rows:
+        print(
+            f"{int(n):>3} {x:>5} {omega:>9.0e} {exact:>12.4e} "
+            f"{fit:>12.4e} {rel:>8.2%}"
+        )
+    rep = residual_report(rows[:, 3], rows[:, 4])
     print(f"max {rep.max_relative_error:.2%}  mean {rep.mean_relative_error:.2%}")
 
     omega = 1e-3
     print(f"\nconcurrence fit, n=2, omega={omega:g}")
     print(f"{'x':>5} {'exact':>12} {'fit':>12} {'rel':>8}")
     xs = np.arange(K_FIT_X_MIN, K_FIT_X_MAX + K_FIT_X_STEP / 2, K_FIT_X_STEP)
-    exact_vals, fit_vals = [], []
-    for x in xs:
-        qp = qubit_pair(solve_pendular(float(x)))
-        c = concurrence(reduce(_ground(qp, 2, omega), 0, 1))
-        fit = c_fit(float(x), omega)
-        exact_vals.append(c)
-        fit_vals.append(fit)
-        print(f"{x:>5.2f} {c:>12.4e} {fit:>12.4e} {abs(fit - c) / c:>8.2%}")
-    rep = residual_report(np.array(exact_vals), np.array(fit_vals))
+    params = {"which": "concurrence", "x_values": xs.tolist(), "omega": omega}
+    rows = _rows(params)
+    for x, _, c, fit, rel in rows:
+        print(f"{x:>5.2f} {c:>12.4e} {fit:>12.4e} {rel:>8.2%}")
+    rep = residual_report(rows[:, 2], rows[:, 3])
     print(f"max {rep.max_relative_error:.2%}  mean {rep.mean_relative_error:.2%}")
 
-    k_exact = np.array(exact_vals) / omega
+    k_exact = rows[:, 2] / omega
 
     def rel_residuals(p):
         a1, a2, x0, dx = p

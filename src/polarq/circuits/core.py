@@ -14,7 +14,7 @@ the coefficients c_s.  The state then takes one in-place multiply by a
 phase table and at most one permutation, a scatter through an index
 array.  Each H is one butterfly.  A run of g gates thus costs O(g)
 Python steps and a few passes over the 2^n amplitudes; its phase table,
-over the k qubits its terms touch, costs O(min(terms, k) 2^k) to build.
+over the k qubits its terms touch, costs O(k 2^k) to build.
 
 Circuits serialize one gate per line as ``GATE q[,q2][,theta]`` under a
 ``# qubits=N`` header; the round-trip is exact because angles are written
@@ -239,29 +239,20 @@ def _phase_table(terms: dict, const: float, n: int) -> np.ndarray:
     """exp(i (const + sum_s c_s chi_s)) on the qubits the terms touch.
 
     The table spans the union of the term masks and is ready to broadcast
-    over [2] * n.  Fewer terms than qubits are summed directly; otherwise
-    one FWHT of the coefficient vector gives every phase.
+    over [2] * n; one FWHT of the coefficient vector gives every phase.
     """
     support = 0
     for s in terms:
         support |= s
     qubits = _qubits_of(support, n)
-    if len(terms) < len(qubits):
-        sub = np.zeros(1, dtype=np.int64)
+    coef = np.zeros(1 << len(qubits))
+    coef[0] = const
+    for s, c in terms.items():
+        u = 0
         for q in qubits:
-            sub = (sub[:, None] | np.array([0, 1 << (n - 1 - q)])).reshape(-1)
-        phase = np.full(sub.shape, const)
-        for s, c in terms.items():
-            phase += np.where(np.bitwise_count(sub & s) & 1, -c, c)
-    else:
-        coef = np.zeros(1 << len(qubits))
-        coef[0] = const
-        for s, c in terms.items():
-            u = 0
-            for q in qubits:
-                u = (u << 1) | (s >> (n - 1 - q) & 1)
-            coef[u] += c
-        phase = fwht(coef)
+            u = (u << 1) | (s >> (n - 1 - q) & 1)
+        coef[u] += c
+    phase = fwht(coef)
     return _on_qubits(np.exp(1j * phase), qubits, n)
 
 
@@ -297,8 +288,9 @@ def simulate(circuit: Circuit, state: StateVector | None = None) -> StateVector:
     """Run the circuit on a state; defaults to the |00...0> input.
 
     Each maximal run of gates other than H is one in-place phase multiply
-    and at most one permutation (see _walk); each H is one butterfly.  Two
-    buffers of 2^n amplitudes serve the whole circuit.
+    and at most one permutation (see _walk); each H is one butterfly.  The
+    state is copied once into one of two buffers of 2^n amplitudes, which
+    serve the whole circuit, so the input state is only read.
     """
     if state is None:
         state = StateVector.basis(circuit.n)
@@ -308,34 +300,22 @@ def simulate(circuit: Circuit, state: StateVector | None = None) -> StateVector:
         )
     n, gates = circuit.n, circuit.gates
     identity = [1 << (n - 1 - q) for q in range(n)]
-    # amp is the caller's array until the first step writes a new one
-    amp, spare = state.amplitudes, None
+    amp, spare = state.amplitudes.copy(), np.empty_like(state.amplitudes)
     i = 0
     while True:
         stop, masks, flips, terms, const = _walk(gates, i, n)
         terms = {s: c for s, c in terms.items() if c}
         if terms or const:
-            table = _phase_table(terms, const, n)
             t = amp.reshape([2] * n)
-            if amp is state.amplitudes:
-                amp = (t * table).reshape(-1)
-            else:
-                t *= table
+            t *= _phase_table(terms, const, n)
         if masks != identity or any(flips):
-            spare = _scratch(spare, state.amplitudes)
             _permute(amp, masks, flips, n, spare)
             amp, spare = spare, amp
         if stop == len(gates):
             return StateVector(n=n, amplitudes=amp)
-        spare = _scratch(spare, state.amplitudes)
         _apply_h(amp, gates[stop].qubits[0], n, spare)
         amp, spare = spare, amp
         i = stop + 1
-
-
-def _scratch(spare: np.ndarray | None, keep: np.ndarray) -> np.ndarray:
-    """spare, or a new buffer like keep when there is none to overwrite."""
-    return np.empty_like(keep) if spare is None or spare is keep else spare
 
 
 def _check_graph(edges, n: int) -> list[tuple[int, int]]:
@@ -418,7 +398,8 @@ def circuit_from_text(text: str) -> Circuit:
     """Parse the serialization produced by circuit_to_text.
 
     Raises:
-        CircuitError: missing header, unknown gate, or malformed arguments.
+        CircuitError: missing or malformed header, unknown gate, or a wrong
+            number of arguments or a malformed one.
     """
     n = None
     gates = []
@@ -426,17 +407,23 @@ def circuit_from_text(text: str) -> Circuit:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("qubits="):
-                n = int(body.removeprefix("qubits="))
-            continue
+        header = line.startswith("#")
         name, _, rest = line.partition(" ")
-        args = [a for a in rest.split(",") if a.strip()] if rest.strip() else []
-        if name not in SINGLE_QUBIT_GATES + TWO_QUBIT_GATES + ("PHASE",):
-            raise CircuitError(f"line {lineno}: unknown gate {name!r}")
+        args = rest.split(",") if rest.strip() else []
+        if not header:
+            if name not in SINGLE_QUBIT_GATES + TWO_QUBIT_GATES + ("PHASE",):
+                raise CircuitError(f"line {lineno}: unknown gate {name!r}")
+            want = 2 if name == "RZ" or name in TWO_QUBIT_GATES else 1
+            if len(args) != want:
+                raise CircuitError(
+                    f"line {lineno}: {name} takes {want} arguments, got {len(args)}"
+                )
         try:
-            if name == "RZ":
+            if header:
+                body = line.lstrip("#").strip()
+                if body.startswith("qubits="):
+                    n = int(body.removeprefix("qubits="))
+            elif name == "RZ":
                 gates.append(Gate("RZ", (int(args[0]),), float(args[1])))
             elif name == "PHASE":
                 gates.append(Gate("PHASE", (), float(args[0])))
@@ -444,7 +431,7 @@ def circuit_from_text(text: str) -> Circuit:
                 gates.append(Gate(name, (int(args[0]), int(args[1]))))
             else:
                 gates.append(Gate(name, (int(args[0]),)))
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise CircuitError(f"line {lineno}: cannot parse {line!r}") from exc
     if n is None:
         raise CircuitError("missing '# qubits=N' header")

@@ -113,11 +113,9 @@ def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
             geom = custom_array(g["positions"])
         field = g.get("field_direction", (0, 0, 1))
         geom = ArrayGeometry(geom.kind, geom.positions, field)
-        nn_only = g.get("nearest_neighbors_only", False)
-        pair_couplings(geom, 1.0, nn_only)  # rejects coincident sites
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
-    return geom, nn_only
+    return geom, g.get("nearest_neighbors_only", False)
 
 
 def _pairs(params: dict, n: int) -> list[tuple[int, int]] | None:

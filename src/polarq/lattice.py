@@ -30,6 +30,9 @@ class ArrayGeometry:
 
     kind is "linear", "square" or "custom"; it is informational only, all
     coupling math goes through positions and field_direction.
+
+    Raises:
+        DegenerateGeometryError: two sites coincide.
     """
 
     kind: str
@@ -52,6 +55,15 @@ class ArrayGeometry:
             raise ValueError(
                 f"field_direction must be a finite nonzero 3-vector, got {f}"
             )
+        # squared separations summed one axis at a time, so the largest
+        # temporary is N x N
+        d2 = np.zeros((pos.shape[0], pos.shape[0]))
+        for axis in pos.T:
+            d2 += (axis[:, None] - axis) ** 2
+        close = np.triu(d2 < _MIN_SEPARATION**2, 1)
+        if close.any():
+            i, j = np.argwhere(close)[0]
+            raise DegenerateGeometryError(f"sites {i} and {j} coincide at {pos[i]}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "field_direction", f / norm)
 
@@ -120,9 +132,6 @@ def pair_couplings(
         omega_nn: Omega/B at unit separation, >= 0.
         nearest_neighbors_only: keep only pairs at separation 1 (within 1e-9),
             the truncation used when studying whether long-range tails matter.
-
-    Raises:
-        DegenerateGeometryError: two sites coincide.
     """
     if omega_nn < 0:
         raise ValueError(f"omega_nn must be >= 0, got {omega_nn}")
@@ -133,10 +142,6 @@ def pair_couplings(
         for j in range(i + 1, geom.n_sites):
             r = pos[j] - pos[i]
             d = float(np.linalg.norm(r))
-            if d < _MIN_SEPARATION:
-                raise DegenerateGeometryError(
-                    f"sites {i} and {j} coincide at {pos[i]}"
-                )
             if nearest_neighbors_only and abs(d - 1.0) > 1e-9:
                 continue
             cos_a = min(1.0, max(-1.0, float(r @ f / d)))

@@ -39,9 +39,7 @@ DENSE_LIMIT = 14
 # Thermal occupations below this are indistinguishable from underflow noise.
 _PROBABILITY_FLOOR = 1e-300
 
-# Davidson's dense ground-state iteration: basis vectors kept before it
-# restarts onto the Ritz vector, and steps before it hands over to ARPACK.
-_DAVIDSON_BASIS = 16
+# Davidson's dense ground-state iteration: steps before it hands over to ARPACK.
 _DAVIDSON_STEPS = 50
 
 
@@ -205,8 +203,8 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
     d1, d2 = np.partition(diag, 1)[:2]
     if not d1 + s < d2 - s:  # written so that NaN fails it
         return None
-    basis = np.zeros((_DAVIDSON_BASIS, h.dim))
-    images = np.zeros((_DAVIDSON_BASIS, h.dim))  # rows of H @ basis
+    basis = np.zeros((_DAVIDSON_STEPS + 1, h.dim))
+    images = np.zeros((_DAVIDSON_STEPS + 1, h.dim))  # rows of H @ basis
     start = int(np.argmin(diag))
     basis[0, start] = 1.0
     images[0] = h.matrix[start]
@@ -222,8 +220,6 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
                 eigenvectors=_fix_phases(u[:, None]),
                 dim=h.dim,
             )
-        if m == _DAVIDSON_BASIS:
-            basis[0], images[0], m = u, hu, 1
         t = r / np.minimum(theta - diag, -eps)
         t -= (basis[:m] @ t) @ basis[:m]
         first = np.linalg.norm(t)

@@ -222,6 +222,14 @@ def test_serialization_errors():
         circuit_from_text("# qubits=2\nRZ 0\n")
     with pytest.raises(CircuitError):
         circuit_from_text("# qubits=2\nCNOT 0,x\n")
+    for text in (
+        "# qubits=3\nH 0,1\n",
+        "# qubits=3\nCNOT 0,1,2\n",
+        "# qubits=3\nRZ 0,0.5,7\n",
+        "# qubits=abc\nH 0\n",
+    ):
+        with pytest.raises(CircuitError, match="line"):
+            circuit_from_text(text)
 
 
 @st.composite
@@ -404,10 +412,14 @@ def test_simulate_moves_wires_at_twelve_qubits():
 def test_simulate_leaves_the_input_state_alone():
     state = StateVector(n=2, amplitudes=np.array([0.6, 0.0, 0.0, 0.8j]))
     before = state.amplitudes.copy()
-    gates = (Gate("RZ", (0,), 0.3), Gate("CNOT", (0, 1)), Gate("H", (1,)))
-    c = Circuit(n=2, gates=gates)
-    simulate(c, state)
-    assert np.array_equal(state.amplitudes, before)
+    for gates in (
+        (Gate("RZ", (0,), 0.3), Gate("CNOT", (0, 1)), Gate("H", (1,))),
+        (),
+        (Gate("X", (0,)),),
+    ):
+        out = simulate(Circuit(n=2, gates=gates), state)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert np.array_equal(state.amplitudes, before)
 
 
 def test_stabilizer_check_matches_dense_operators():

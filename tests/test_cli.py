@@ -850,7 +850,7 @@ def test_concurrence_builds_its_couplings_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "pair_couplings", spy)
     cfg = write_cfg(tmp_path, {"task": "concurrence"})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "c.csv")]) == 0
-    assert len(calls) == 2  # the plan's check for coincident sites, then the row
+    assert len(calls) == 1  # the row's; the geometry rejects coincident sites
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,8 @@ def test_nearest_neighbors_only_switch():
 def test_degenerate_and_invalid_inputs():
     with pytest.raises(DegenerateGeometryError):
         pair_couplings(custom_array([[0, 0, 0], [0, 0, 0]]), 1.0)
+    with pytest.raises(DegenerateGeometryError, match="sites 0 and 2 coincide"):
+        custom_array([[0, 0, 0], [1, 0, 0], [0, 1e-10, 0]])
     with pytest.raises(ValueError):
         pair_couplings(linear_array(3), -1e-6)
     with pytest.raises(ValueError):
