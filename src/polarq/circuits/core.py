@@ -9,12 +9,15 @@ Simulation goes run by run.  Every gate but H sends a basis state to one
 basis state times a phase, so a maximal run of non-H gates is an affine
 map x -> Mx ^ f over GF(2) with a phase polynomial
 phi(x) = c_0 + sum_s c_s (-1)^{popcount(s & x)} (Amy, Azimzadeh & Mosca,
-arXiv:1712.01859).  One Python pass over the run's gates builds M, f and
-the coefficients c_s.  The state then takes one in-place multiply by a
+arXiv:1712.01859).  A circuit is folded once, on its first simulation:
+one Python pass over its gates builds each run's M, f and coefficients
+c_s, and the circuit keeps that schedule, O(gates) in size, for every
+later replay.  The state then takes, per run, one in-place multiply by a
 phase table and at most one permutation, a scatter through an index
 array.  Each H is one butterfly.  A run of g gates thus costs O(g)
-Python steps and a few passes over the 2^n amplitudes; its phase table,
-over the k qubits its terms touch, costs O(k 2^k) to build.
+Python steps once per circuit, and a few passes over the 2^n amplitudes
+per simulation; its phase table, over the k qubits its terms touch,
+costs O(k 2^k) to build on every simulation.
 
 Circuits serialize one gate per line as ``GATE q[,q2][,theta]`` under a
 ``# qubits=N`` header; the round-trip is exact because angles are written
@@ -23,8 +26,10 @@ with repr.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +70,12 @@ def _check_gate(g: Gate, n: int) -> None:
             raise CircuitError(f"PHASE is global, got qubits {g.qubits}")
     else:
         raise CircuitError(f"unknown gate {g.name!r}")
-    if any(not 0 <= q < n for q in g.qubits):
-        raise CircuitError(f"{g.name} on {g.qubits} out of range for n={n}")
+    for q in g.qubits:
+        # type(), not isinstance: bool is an int subclass
+        if type(q) is not int and not isinstance(q, np.integer):
+            raise CircuitError(f"{g.name} qubits must be integers, got {g.qubits}")
+        if not 0 <= q < n:
+            raise CircuitError(f"{g.name} on {g.qubits} out of range for n={n}")
     if g.name in ("RZ", "PHASE"):
         if g.theta is None or not math.isfinite(g.theta):
             raise CircuitError(f"{g.name} needs a finite angle, got {g.theta}")
@@ -111,6 +120,53 @@ class Circuit:
         object.__setattr__(joined, "gates", self.gates + other.gates)
         return joined
 
+    @functools.cached_property
+    def _runs(self) -> tuple[_Run, ...]:
+        """The gates folded into their runs, once per circuit (see _walk).
+
+        Gates are frozen, so the schedule cannot go stale, and it holds
+        O(gates) numbers: no phase table or permutation index survives a
+        simulation.
+        """
+        n, gates = self.n, self.gates
+        identity = [1 << (n - 1 - q) for q in range(n)]
+        runs = []
+        i = 0
+        while True:
+            stop, masks, flips, terms, const = _walk(gates, i, n)
+            terms = {s: c for s, c in terms.items() if c}
+            qubits, index = _term_index(terms, n)
+            runs.append(
+                _Run(
+                    qubits,
+                    index,
+                    np.fromiter(terms.values(), float, len(terms)),
+                    const,
+                    None if masks == identity and not any(flips) else (masks, flips),
+                    gates[stop].qubits[0] if stop < len(gates) else None,
+                )
+            )
+            if stop == len(gates):
+                return tuple(runs)
+            i = stop + 1
+
+
+class _Run(NamedTuple):
+    """One maximal run of non-H gates, folded, and the H that ends it.
+
+    The phase is const plus values[j] times the Walsh character at
+    position index[j] of a table over qubits; affine is (masks, flips) of
+    _walk, or None when the run moves no basis state; h is the qubit of
+    the closing H, None for the circuit's last run.
+    """
+
+    qubits: list[int]
+    index: np.ndarray
+    values: np.ndarray
+    const: float
+    affine: tuple[list[int], list[int]] | None
+    h: int | None
+
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -131,6 +187,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, n: int, index: int = 0) -> "StateVector":
+        if not 0 <= index < 1 << n:
+            raise ValueError(f"basis index {index} outside [0, 2^{n}) for n={n}")
         amp = np.zeros(1 << n, dtype=complex)
         amp[index] = 1.0
         return cls(n=n, amplitudes=amp)
@@ -235,25 +293,32 @@ def _on_qubits(values, qubits: list[int], n: int) -> np.ndarray:
     return np.asarray(values).reshape(shape)
 
 
-def _phase_table(terms: dict, const: float, n: int) -> np.ndarray:
-    """exp(i (const + sum_s c_s chi_s)) on the qubits the terms touch.
-
-    The table spans the union of the term masks and is ready to broadcast
-    over [2] * n; one FWHT of the coefficient vector gives every phase.
-    """
+def _term_index(terms: dict, n: int) -> tuple[list[int], np.ndarray]:
+    """The qubits the term masks touch, and each mask's index over them."""
     support = 0
     for s in terms:
         support |= s
     qubits = _qubits_of(support, n)
-    coef = np.zeros(1 << len(qubits))
-    coef[0] = const
-    for s, c in terms.items():
+    index = np.empty(len(terms), dtype=np.intp)
+    for j, s in enumerate(terms):
         u = 0
         for q in qubits:
             u = (u << 1) | (s >> (n - 1 - q) & 1)
-        coef[u] += c
-    phase = fwht(coef)
-    return _on_qubits(np.exp(1j * phase), qubits, n)
+        index[j] = u
+    return qubits, index
+
+
+def _phase_table(run: _Run, n: int) -> np.ndarray:
+    """exp(i (const + sum_s c_s chi_s)) on the qubits the run's terms touch.
+
+    The table is ready to broadcast over [2] * n; one FWHT of the
+    coefficient vector gives every phase.  Term masks are distinct and
+    nonzero, so the scatter puts each coefficient in its own slot.
+    """
+    coef = np.zeros(1 << len(run.qubits))
+    coef[0] = run.const
+    coef[run.index] = run.values
+    return _on_qubits(np.exp(1j * fwht(coef)), run.qubits, n)
 
 
 def _permute(
@@ -289,8 +354,10 @@ def simulate(circuit: Circuit, state: StateVector | None = None) -> StateVector:
 
     Each maximal run of gates other than H is one in-place phase multiply
     and at most one permutation (see _walk); each H is one butterfly.  The
-    state is copied once into one of two buffers of 2^n amplitudes, which
-    serve the whole circuit, so the input state is only read.
+    circuit is folded into those runs on its first simulation and replays
+    the folded schedule after that.  The state is copied once into one of
+    two buffers of 2^n amplitudes, which serve the whole circuit, so the
+    input state is only read.
     """
     if state is None:
         state = StateVector.basis(circuit.n)
@@ -298,24 +365,19 @@ def simulate(circuit: Circuit, state: StateVector | None = None) -> StateVector:
         raise CircuitError(
             f"state on {state.n} qubits does not match circuit on {circuit.n}"
         )
-    n, gates = circuit.n, circuit.gates
-    identity = [1 << (n - 1 - q) for q in range(n)]
+    n = circuit.n
     amp, spare = state.amplitudes.copy(), np.empty_like(state.amplitudes)
-    i = 0
-    while True:
-        stop, masks, flips, terms, const = _walk(gates, i, n)
-        terms = {s: c for s, c in terms.items() if c}
-        if terms or const:
+    for run in circuit._runs:
+        if len(run.values) or run.const:
             t = amp.reshape([2] * n)
-            t *= _phase_table(terms, const, n)
-        if masks != identity or any(flips):
-            _permute(amp, masks, flips, n, spare)
+            t *= _phase_table(run, n)
+        if run.affine is not None:
+            _permute(amp, *run.affine, n, spare)
             amp, spare = spare, amp
-        if stop == len(gates):
-            return StateVector(n=n, amplitudes=amp)
-        _apply_h(amp, gates[stop].qubits[0], n, spare)
-        amp, spare = spare, amp
-        i = stop + 1
+        if run.h is not None:
+            _apply_h(amp, run.h, n, spare)
+            amp, spare = spare, amp
+    return StateVector(n=n, amplitudes=amp)
 
 
 def _check_graph(edges, n: int) -> list[tuple[int, int]]:

@@ -104,15 +104,14 @@ def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
     kind = g.get("kind", kind)
     if kind == "custom" and "positions" not in g:
         raise ConfigError("geometry: custom geometry requires positions")
+    field = g.get("field_direction", (0, 0, 1))
     try:
         if kind == "linear":
-            geom = linear_array(g.get("n", n))
+            geom = linear_array(g.get("n", n), field)
         elif kind == "square":
-            geom = square_array(g.get("rows", 3), g.get("cols", 3))
+            geom = square_array(g.get("rows", 3), g.get("cols", 3), field)
         else:
-            geom = custom_array(g["positions"])
-        field = g.get("field_direction", (0, 0, 1))
-        geom = ArrayGeometry(geom.kind, geom.positions, field)
+            geom = custom_array(g["positions"], field)
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
     return geom, g.get("nearest_neighbors_only", False)

@@ -72,17 +72,19 @@ class ArrayGeometry:
         return self.positions.shape[0]
 
 
-def linear_array(n: int) -> ArrayGeometry:
-    """Chain of n sites along x with unit spacing, field along z."""
+def linear_array(n: int, field_direction=(0.0, 0.0, 1.0)) -> ArrayGeometry:
+    """Chain of n sites along x with unit spacing, field along z by default."""
     if n < 1:
         raise ValueError(f"need at least one site, got n={n}")
     pos = np.zeros((n, 3))
     pos[:, 0] = np.arange(n)
-    return ArrayGeometry(kind="linear", positions=pos)
+    return ArrayGeometry(kind="linear", positions=pos, field_direction=field_direction)
 
 
-def square_array(rows: int, cols: int) -> ArrayGeometry:
-    """rows x cols square lattice in the xy plane, field along z.
+def square_array(
+    rows: int, cols: int, field_direction=(0.0, 0.0, 1.0)
+) -> ArrayGeometry:
+    """rows x cols square lattice in the xy plane, field along z by default.
 
     Sites are ordered row-major: site index i sits at (i // cols, i % cols).
     """
@@ -92,7 +94,7 @@ def square_array(rows: int, cols: int) -> ArrayGeometry:
     for r in range(rows):
         for c in range(cols):
             pos[r * cols + c, :2] = (r, c)
-    return ArrayGeometry(kind="square", positions=pos)
+    return ArrayGeometry(kind="square", positions=pos, field_direction=field_direction)
 
 
 def custom_array(positions, field_direction=(0.0, 0.0, 1.0)) -> ArrayGeometry:

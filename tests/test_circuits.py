@@ -144,6 +144,28 @@ def test_gate_validation(gate):
         Circuit(n=2, gates=(gate,))
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        Gate("X", (0.5,)),
+        Gate("H", (1.0,)),
+        Gate("CNOT", (0, True)),
+        Gate("CZ", (False, 1)),
+        Gate("RZ", ("0",), 0.5),
+    ],
+)
+def test_qubit_indices_must_be_integers(gate):
+    with pytest.raises(CircuitError, match="integers"):
+        Circuit(n=2, gates=(gate,))
+
+
+def test_numpy_integer_qubits_round_trip():
+    c = Circuit(n=2, gates=(Gate("CNOT", (np.int64(1), np.int32(0))),))
+    back = circuit_from_text(circuit_to_text(c))
+    assert back.gates == (Gate("CNOT", (1, 0)),)
+    assert np.array_equal(simulate(c).amplitudes, simulate(back).amplitudes)
+
+
 def test_circuit_needs_a_qubit():
     with pytest.raises(CircuitError):
         Circuit(n=0, gates=())
@@ -156,6 +178,17 @@ def test_state_vector_validation():
         StateVector(n=2, amplitudes=np.zeros(3, dtype=complex))
     with pytest.raises(ValueError):
         simulate(Circuit(n=2, gates=()), StateVector.basis(3, 0))
+
+
+@pytest.mark.parametrize("index", [-1, 4, 100])
+def test_basis_index_must_be_in_range(index):
+    with pytest.raises(ValueError, match=r"outside \[0, 2\^2\)"):
+        StateVector.basis(2, index)
+
+
+def test_basis_states_cover_the_range():
+    for b in range(4):
+        assert np.array_equal(StateVector.basis(2, b).amplitudes, np.eye(4)[b])
 
 
 def test_cluster_single_qubit_is_plus():
@@ -460,3 +493,53 @@ def test_joining_and_compiling_check_each_gate_once(monkeypatch):
         h_layer.then(Circuit(n=n + 1, gates=()))
     circuit_from_text(circuit_to_text(compiled))
     assert len(calls) == n + 2 * compiled.gate_count()
+
+
+def test_replays_fold_the_circuit_once(monkeypatch):
+    calls = []
+    walk = core._walk
+
+    def counting(gates, start, n):
+        calls.append(start)
+        return walk(gates, start, n)
+
+    monkeypatch.setattr(core, "_walk", counting)
+    n = 4
+    theta = np.random.default_rng(7).uniform(-np.pi, np.pi, 1 << n)
+    h = Circuit(n=n, gates=(Gate("H", (1,)),))
+    circ = h.then(compile_diagonal(DiagonalUnitary.from_phases(theta), 1e-10)).then(h)
+    replays = [
+        simulate(circ, StateVector.basis(n, b)).amplitudes for b in range(1 << n)
+    ]
+    assert len(calls) == 1 + circ.gate_count("H")
+    for b, got in enumerate(replays):
+        fresh = Circuit(n, circ.gates)
+        assert np.array_equal(got, simulate(fresh, StateVector.basis(n, b)).amplitudes)
+
+
+def test_joined_circuit_folds_its_own_gates():
+    a = Circuit(n=2, gates=(Gate("X", (0,)), Gate("RZ", (1,), 0.4)))
+    b = Circuit(n=2, gates=(Gate("H", (1,)), Gate("CNOT", (0, 1))))
+    alone = simulate(a).amplitudes
+    joined = simulate(a.then(b)).amplitudes
+    fresh = simulate(Circuit(n=2, gates=a.gates + b.gates)).amplitudes
+    assert np.array_equal(joined, fresh)
+    assert not np.allclose(joined, alone)
+    assert np.array_equal(simulate(a).amplitudes, alone)
+
+
+def test_second_simulation_matches_the_dense_product():
+    rng = np.random.default_rng(29)
+    n = 4
+    gates = (
+        Gate("H", (0,)), Gate("X", (1,)), Gate("RZ", (1,), 0.9),
+        Gate("SWAP", (0, 3)), Gate("H", (2,)), Gate("CNOT", (3, 1)),
+        Gate("CZ", (1, 2)), Gate("X", (0,)), Gate("H", (3,)), Gate("SWAP", (1, 2)),
+        Gate("CNOT", (2, 0)), Gate("RZ", (0,), -0.3),
+    )
+    circuit = Circuit(n=n, gates=gates)
+    u = kron_circuit(circuit)
+    for _ in range(2):
+        state = random_state(rng, n)
+        got = simulate(circuit, state).amplitudes
+        assert np.max(np.abs(got - u @ state.amplitudes)) < 1e-12

@@ -21,8 +21,13 @@ from polarq import (
     pair_couplings,
     spectrum,
 )
-from polarq import cli
-from polarq.circuits import DiagonalUnitary, circuit_from_text, iqp_probability
+from polarq import cli, lattice
+from polarq.circuits import (
+    Circuit,
+    DiagonalUnitary,
+    circuit_from_text,
+    iqp_probability,
+)
 from polarq.manybody import SolverError
 
 
@@ -544,6 +549,22 @@ def test_compile_diagonal_writes_circuit_file(tmp_path):
     assert circ.gate_count("CNOT") == int(rows[0][header.index("cnots")])
 
 
+def test_compile_diagonal_check_catches_a_dropped_cnot(tmp_path, monkeypatch):
+    compile_diagonal = cli.compile_diagonal
+
+    def broken(d, eps):
+        circ = compile_diagonal(d, eps)
+        k = [g.name for g in circ.gates].index("CNOT")
+        return Circuit(n=circ.n, gates=circ.gates[:k] + circ.gates[k + 1 :])
+
+    monkeypatch.setattr(cli, "compile_diagonal", broken)
+    cfg = write_cfg(tmp_path, {"task": "compile-diagonal"})
+    out = tmp_path / "cd.csv"
+    assert cli.main(["run", cfg, "--out", str(out), "--seed", "1"]) == 0
+    meta, header, rows = read_csv(str(out))
+    assert float(rows[0][header.index("max_error")]) > float(meta["eps"])
+
+
 def test_compile_diagonal_reads_phases_file(tmp_path):
     phases = [0.25, -1.5, 3.0, 0.125, 2.5, -0.75, 1.0, -2.0]
     sources = {
@@ -838,6 +859,36 @@ def test_metadata_records_the_field_direction(tmp_path):
         headers.append([line for line in text.splitlines() if line.startswith("#")])
     assert "# field_direction=1.0;0.0;0.0" in headers[1]
     assert headers[0] != headers[1]
+
+
+@pytest.mark.parametrize(
+    "geometry, field",
+    [
+        ({"kind": "linear", "n": 3, "field_direction": [2, 0, 0]}, [1.0, 0.0, 0.0]),
+        ({"kind": "square", "rows": 2, "cols": 2}, [0.0, 0.0, 1.0]),
+        (
+            {
+                "kind": "custom",
+                "positions": [[0, 0, 0], [1, 0, 0]],
+                "field_direction": [0, 3, 4],
+            },
+            [0.0, 0.6, 0.8],
+        ),
+    ],
+    ids=["linear", "square", "custom"],
+)
+def test_geometry_is_built_once(monkeypatch, geometry, field):
+    calls = []
+    post_init = lattice.ArrayGeometry.__post_init__
+
+    def counting(self):
+        calls.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(lattice.ArrayGeometry, "__post_init__", counting)
+    geom, _ = cli._geometry({"task": "concurrence", "geometry": geometry})
+    assert calls == [geometry["kind"]]
+    assert geom.field_direction.tolist() == field
 
 
 def test_concurrence_builds_its_couplings_once(tmp_path, monkeypatch):
