@@ -186,11 +186,6 @@ def test_basis_index_must_be_in_range(index):
         StateVector.basis(2, index)
 
 
-def test_basis_states_cover_the_range():
-    for b in range(4):
-        assert np.array_equal(StateVector.basis(2, b).amplitudes, np.eye(4)[b])
-
-
 def test_cluster_single_qubit_is_plus():
     state = prepare_cluster_state([], 1)
     assert np.allclose(state.amplitudes, np.full(2, 1 / np.sqrt(2)), atol=1e-12)
