@@ -14,18 +14,15 @@ from .entangle import (
     entanglement_of_formation,
     pairwise_concurrence_map,
     reduce,
-    spin_flip,
 )
 from .fits import (
     FitParamsF,
     FitParamsK,
-    ResidualReport,
     ValidityWarning,
     c_fit,
     f_of_x,
     k_of_x,
     p_fit,
-    residual_report,
 )
 from .lattice import (
     ArrayGeometry,
@@ -39,26 +36,22 @@ from .lattice import (
 )
 from .manybody import (
     CapacityError,
-    LabelingError,
     QubitHamiltonian,
     Spectrum,
     UnderflowWarning,
     build_hamiltonian,
     energy_gap,
-    frequency_shift,
     p_not_all_zero,
     perturbative_ground_state,
     spectrum,
     thermal_excitation,
 )
 from .pendular import (
-    FIELD_UNIT_FACTOR,
     ConvergenceError,
     PendularSolution,
     QubitPair,
     build_pendular_hamiltonian,
     cos_theta_matrix,
-    field_to_x,
     qubit_pair,
     solve_pendular,
 )
@@ -73,16 +66,13 @@ __all__ = [
     "entanglement_of_formation",
     "pairwise_concurrence_map",
     "reduce",
-    "spin_flip",
     "FitParamsF",
     "FitParamsK",
-    "ResidualReport",
     "ValidityWarning",
     "c_fit",
     "f_of_x",
     "k_of_x",
     "p_fit",
-    "residual_report",
     "ArrayGeometry",
     "DegenerateGeometryError",
     "PairCoupling",
@@ -92,24 +82,20 @@ __all__ = [
     "pair_couplings",
     "square_array",
     "CapacityError",
-    "LabelingError",
     "QubitHamiltonian",
     "Spectrum",
     "UnderflowWarning",
     "build_hamiltonian",
     "energy_gap",
-    "frequency_shift",
     "p_not_all_zero",
     "perturbative_ground_state",
     "spectrum",
     "thermal_excitation",
-    "FIELD_UNIT_FACTOR",
     "ConvergenceError",
     "PendularSolution",
     "QubitPair",
     "build_pendular_hamiltonian",
     "cos_theta_matrix",
-    "field_to_x",
     "qubit_pair",
     "solve_pendular",
     "__version__",

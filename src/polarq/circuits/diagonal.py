@@ -14,7 +14,6 @@ built from nearest-neighbor CNOTs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +41,9 @@ class DiagonalUnitary:
     @classmethod
     def from_phases(cls, phases) -> "DiagonalUnitary":
         p = np.asarray(phases, dtype=float)
-        n = int(p.shape[0]).bit_length() - 1
-        if p.ndim != 1 or (1 << n) != p.shape[0]:
+        if p.ndim != 1 or p.size == 0 or p.size & (p.size - 1):
             raise ValueError(f"phase list length {p.shape} is not a power of two")
-        return cls(n=n, phases=p)
-
-    def canonical(self) -> "DiagonalUnitary":
-        """Same unitary with every phase wrapped into (-pi, pi]."""
-        wrapped = np.mod(-self.phases + math.pi, 2 * math.pi)
-        return DiagonalUnitary(n=self.n, phases=-(wrapped - math.pi))
+        return cls(n=p.size.bit_length() - 1, phases=p)
 
     def matrix(self) -> np.ndarray:
         return np.diag(np.exp(1j * self.phases))

@@ -10,8 +10,9 @@ rejects what it cannot resolve and every key it never reads.  Every task
 writes a CSV whose leading comment block (# key=value) records the
 resolved inputs and tool version, followed by a header row and data rows;
 identical configs give byte-identical files at a fixed BLAS thread count.
-Exit codes: 0 success, 2 config error, 3 solver failure (partial rows are
-flushed with a FAILED sentinel row).
+Exit codes: 0 success, 2 config error or an output path that cannot be
+opened for writing (checked before any solve), 3 solver failure (partial
+rows are flushed with a FAILED sentinel row).
 """
 
 from __future__ import annotations
@@ -105,11 +106,22 @@ def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
     if kind == "custom" and "positions" not in g:
         raise ConfigError("geometry: custom geometry requires positions")
     field = g.get("field_direction", (0, 0, 1))
+    # counted before any site is placed: the coincidence check is O(sites^2)
+    if kind == "linear":
+        sites = g.get("n", n)
+    elif kind == "square":
+        rows, cols = g.get("rows", 3), g.get("cols", 3)
+        sites = rows * cols
+    else:
+        sites = len(g["positions"])
+    if sites > MAX_QUBITS:
+        cap = f"the {MAX_QUBITS}-molecule cap"
+        raise ConfigError(f"geometry: {sites} sites exceed {cap}")
     try:
         if kind == "linear":
-            geom = linear_array(g.get("n", n), field)
+            geom = linear_array(sites, field)
         elif kind == "square":
-            geom = square_array(g.get("rows", 3), g.get("cols", 3), field)
+            geom = square_array(rows, cols, field)
         else:
             geom = custom_array(g["positions"], field)
     except ValueError as exc:
@@ -742,18 +754,17 @@ def plan_config(cfg, seed: int = 0, out_path: str = "") -> TaskPlan:
     return plan
 
 
-def _write_csv(path, task, metadata, header, rows, failure=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"# task={task}\n")
-        f.write(f"# tool=polarq {__version__}\n")
-        for key in sorted(metadata):
-            f.write(f"# {key}={_cell(metadata[key])}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-        if failure is not None:
-            writer.writerow(["FAILED", failure])
+def _write_csv(f, task, metadata, header, rows, failure=None) -> None:
+    f.write(f"# task={task}\n")
+    f.write(f"# tool=polarq {__version__}\n")
+    for key in sorted(metadata):
+        f.write(f"# {key}={_cell(metadata[key])}\n")
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(v) for v in row])
+    if failure is not None:
+        writer.writerow(["FAILED", failure])
 
 
 def run(cfg: dict, out_path: str, seed: int) -> int:
@@ -764,14 +775,20 @@ def run(cfg: dict, out_path: str, seed: int) -> int:
         for violation in str(exc).splitlines():
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        f = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     rows = []
     failure = None
-    try:
-        for row in plan.rows:
-            rows.append(row)
-    except Exception as exc:  # noqa: BLE001 - every solver failure maps to exit 3
-        failure = f"{type(exc).__name__}: {exc}"
-    _write_csv(out_path, cfg["task"], plan.metadata, plan.header, rows, failure)
+    with f:
+        try:
+            for row in plan.rows:
+                rows.append(row)
+        except Exception as exc:  # noqa: BLE001 - every solver failure maps to exit 3
+            failure = f"{type(exc).__name__}: {exc}"
+        _write_csv(f, cfg["task"], plan.metadata, plan.header, rows, failure)
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         print(f"partial results in {out_path}", file=sys.stderr)

@@ -35,7 +35,6 @@ class ReducedDensity:
     """4x4 density matrix of a molecule pair in the {00, 01, 10, 11} basis."""
 
     matrix: np.ndarray
-    pair: tuple[int, int]
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -50,56 +49,39 @@ class ReducedDensity:
         object.__setattr__(self, "matrix", m)
 
 
-def _infer_qubits(dim: int, what: str) -> int:
+def _infer_qubits(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim < 4 or (1 << n) != dim:
-        raise ValueError(f"{what} length {dim} is not 2^n with n >= 2")
+        raise ValueError(f"state vector length {dim} is not 2^n with n >= 2")
     return n
 
 
 def reduce(state: np.ndarray, i: int, j: int) -> ReducedDensity:
     """Partial trace onto sites (i, j), all other sites summed out.
 
-    Accepts a normalized pure-state vector of length 2^n or, for mixed
-    states, a 2^n x 2^n density matrix.
+    Takes a normalized pure-state vector of length 2^n.
 
     Raises:
         InvalidPairError: i = j or an index is out of range.
     """
     arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        n = _infer_qubits(arr.shape[0], "state vector")
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
-            raise ValueError("state vector is not normalized within 1e-9")
-    elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        n = _infer_qubits(arr.shape[0], "density matrix")
-    else:
-        raise ValueError(f"expected a vector or square matrix, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ValueError(f"expected a state vector, got shape {arr.shape}")
+    n = _infer_qubits(arr.shape[0])
+    if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
+        raise ValueError("state vector is not normalized within 1e-9")
     if i == j:
         raise InvalidPairError(f"pair indices must differ, got ({i}, {j})")
     if not (0 <= i < n and 0 <= j < n):
         raise InvalidPairError(f"pair ({i}, {j}) out of range for {n} sites")
-    if arr.ndim == 1:
-        t = np.moveaxis(arr.reshape([2] * n), (i, j), (0, 1)).reshape(4, -1)
-        rho = t @ t.conj().T
-    else:
-        t = arr.reshape([2] * (2 * n))
-        t = np.moveaxis(t, (i, j, n + i, n + j), (0, 1, 2, 3))
-        rest = 1 << (n - 2)
-        rho = np.einsum("abrr->ab", t.reshape(4, 4, rest, rest))
-    return ReducedDensity(matrix=rho, pair=(i, j))
+    t = np.moveaxis(arr.reshape([2] * n), (i, j), (0, 1)).reshape(4, -1)
+    return ReducedDensity(matrix=t @ t.conj().T)
 
 
 def _as_matrix(rho) -> np.ndarray:
     if isinstance(rho, ReducedDensity):
         return rho.matrix
-    return ReducedDensity(matrix=np.asarray(rho, dtype=complex), pair=(0, 1)).matrix
-
-
-def spin_flip(rho) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    m = _as_matrix(rho)
-    return _SYSY @ m.conj() @ _SYSY
+    return ReducedDensity(matrix=np.asarray(rho, dtype=complex)).matrix
 
 
 def concurrence(rho) -> float:
@@ -147,7 +129,7 @@ def pairwise_concurrence_map(
 ) -> ConcurrenceMap:
     """Concurrence of every pair of the state (or a requested subset)."""
     arr = np.asarray(state, dtype=complex)
-    n = _infer_qubits(arr.shape[0], "state vector")
+    n = _infer_qubits(arr.shape[0])
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     entries = {

@@ -6,8 +6,7 @@ Two fitted closed forms summarize the exact diagonalization results:
                                                     double-sigmoid in x,
   C_nn  ~  K(x) * Omega/B                           with K a single sigmoid.
 
-Both parameter sets are frozen defaults on their dataclasses but can be
-overridden, e.g. to test sensitivity or re-fit.
+Both parameter sets are frozen defaults on their dataclasses.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 # Stated calibration window of the P fit: N > 3, 0 < x <= 8, Omega/B <= 1e-2.
 P_FIT_OMEGA_MAX = 1e-2
@@ -65,21 +62,24 @@ class FitParamsK:
     dx: float = 1.124
 
 
-def f_of_x(x: float, params: FitParamsF = FitParamsF()) -> float:
+_PARAMS_F = FitParamsF()
+_PARAMS_K = FitParamsK()
+
+
+def f_of_x(x: float) -> float:
     """Asymmetric double sigmoidal f(x).
 
     f = y0 + A / (1 + e^{-(x-xc)/dx1}) * (1 - 1 / (1 + e^{-(x-xc)/dx2})).
     """
     if x <= 0:
         raise ValueError(f"f(x) is calibrated for x > 0, got {x}")
+    params = _PARAMS_F
     rise = 1.0 / (1.0 + math.exp(-(x - params.xc) / params.dx1))
     fall = 1.0 - 1.0 / (1.0 + math.exp(-(x - params.xc) / params.dx2))
     return params.y0 + params.a * rise * fall
 
 
-def p_fit(
-    n: int, x: float, omega: float, params: FitParamsF = FitParamsF()
-) -> float:
+def p_fit(n: int, x: float, omega: float) -> float:
     """Fitted ground-state excitation probability (n - 2) f(x) (10^4 omega)^2.
 
     Inputs outside the calibration window (n > 3, 0 < x <= 8,
@@ -94,17 +94,18 @@ def p_fit(
             ValidityWarning,
             stacklevel=2,
         )
-    return (n - 2) * f_of_x(x, params) * (1e4 * omega) ** 2
+    return (n - 2) * f_of_x(x) * (1e4 * omega) ** 2
 
 
-def k_of_x(x: float, params: FitParamsK = FitParamsK()) -> float:
+def k_of_x(x: float) -> float:
     """Concurrence-per-coupling factor K(x) = a1 + a2 / (1 + e^{(x-x0)/dx})."""
     if x < 0:
         raise ValueError(f"K(x) is calibrated for x >= 0, got {x}")
+    params = _PARAMS_K
     return params.a1 + params.a2 / (1.0 + math.exp((x - params.x0) / params.dx))
 
 
-def c_fit(x: float, omega: float, params: FitParamsK = FitParamsK()) -> float:
+def c_fit(x: float, omega: float) -> float:
     """Fitted nearest-neighbor concurrence K(x) * omega.
 
     Fields outside the calibration window K_FIT_X_MIN <= x <= K_FIT_X_MAX
@@ -119,35 +120,4 @@ def c_fit(x: float, omega: float, params: FitParamsK = FitParamsK()) -> float:
             ValidityWarning,
             stacklevel=2,
         )
-    return k_of_x(x, params) * omega
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualReport:
-    """Pointwise relative errors of a fit against exact values."""
-
-    relative_errors: np.ndarray
-    max_relative_error: float
-    mean_relative_error: float
-
-
-def residual_report(exact, fitted) -> ResidualReport:
-    """Relative errors |fitted - exact| / |exact| over aligned grids.
-
-    Points where exact = 0 contribute 0 when fitted = 0 too, else inf.
-
-    Raises:
-        ValueError: grid shapes differ.
-    """
-    e = np.asarray(exact, dtype=float)
-    f = np.asarray(fitted, dtype=float)
-    if e.shape != f.shape:
-        raise ValueError(f"grid shapes differ: {e.shape} vs {f.shape}")
-    diff = np.abs(f - e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(diff == 0, 0.0, diff / np.abs(e))
-    return ResidualReport(
-        relative_errors=rel,
-        max_relative_error=float(np.max(rel)) if rel.size else 0.0,
-        mean_relative_error=float(np.mean(rel)) if rel.size else 0.0,
-    )
+    return k_of_x(x) * omega

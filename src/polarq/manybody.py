@@ -59,10 +59,6 @@ class PerturbationInvalidError(ValueError):
     """Unperturbed levels are degenerate (dw = 0), corrections diverge."""
 
 
-class LabelingError(RuntimeError):
-    """Two eigenstates claim the same maximal-overlap basis label."""
-
-
 class SolverError(RuntimeError):
     """Iterative eigensolver failed to converge."""
 
@@ -418,29 +414,3 @@ def perturbative_ground_state(
     psi /= np.linalg.norm(psi)
     vbar = float(np.max(np.abs(site_sums))) if omega_eff > 0 else 0.0
     return psi, n * omega_eff**2 * vbar**2
-
-
-def frequency_shift(qp: QubitPair, omega: float, alpha: float) -> float:
-    """Conditional transition-frequency shift of a coupled molecule pair.
-
-    Diagonalizes the two-molecule Hamiltonian, labels each eigenstate by the
-    basis state it overlaps most, and returns
-    |(E_11 - E_10) - (E_01 - E_00)| in units of B: how much molecule 1's
-    transition moves when molecule 0 is flipped.
-
-    Raises:
-        LabelingError: two eigenstates map to the same basis label.
-    """
-    h = build_hamiltonian(qp, [PairCoupling(i=0, j=1, omega=omega, alpha=alpha)], 2)
-    spec = spectrum(h, "all")
-    labels = {}
-    for col in range(4):
-        lab = int(np.argmax(np.abs(spec.eigenvectors[:, col])))
-        if lab in labels:
-            raise LabelingError(
-                f"eigenstates {labels[lab]} and {col} both look like basis "
-                f"state {lab:02b}"
-            )
-        labels[lab] = col
-    e = {lab: float(spec.eigenvalues[col]) for lab, col in labels.items()}
-    return abs((e[0b11] - e[0b10]) - (e[0b01] - e[0b00]))

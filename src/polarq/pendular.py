@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# x gained per Debye of dipole moment, kV/cm of field, per cm^-1 of B.
-FIELD_UNIT_FACTOR = 0.0168
-
 DEFAULT_TOL = 1e-10
 J_MAX_LIMIT = 200
 
@@ -79,33 +76,31 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(dom < 0, -1.0, 1.0)
 
 
-def solve_pendular(x: float, tol: float = DEFAULT_TOL) -> PendularSolution:
+def solve_pendular(x: float) -> PendularSolution:
     """Diagonalize the pendular Hamiltonian with adaptive truncation.
 
     j_max grows in steps of 2 until the qubit splitting dw = W1 - W0 changes
-    by less than tol between consecutive truncations.
+    by less than DEFAULT_TOL between consecutive truncations.
 
     Args:
         x: reduced field, >= 0.
-        tol: convergence tolerance on dw, > 0.
 
     Raises:
         ConvergenceError: dw has not settled by j_max = 200.
     """
     if x < 0:
         raise ValueError(f"reduced field x must be >= 0, got {x}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
     prev_dw = None
     for j_max in range(4, J_MAX_LIMIT + 1, 2):
         w, v = np.linalg.eigh(build_pendular_hamiltonian(x, j_max))
         dw = w[1] - w[0]
-        if prev_dw is not None and abs(dw - prev_dw) < tol:
+        if prev_dw is not None and abs(dw - prev_dw) < DEFAULT_TOL:
             coeffs = _fix_phases(v).T.copy()
             return PendularSolution(x=x, j_max=j_max, energies=w, coefficients=coeffs)
         prev_dw = dw
     raise ConvergenceError(
-        f"pendular splitting at x={x} not converged to {tol} by j_max={J_MAX_LIMIT}"
+        f"pendular splitting at x={x} not converged to {DEFAULT_TOL} "
+        f"by j_max={J_MAX_LIMIT}"
     )
 
 
@@ -144,13 +139,3 @@ def qubit_pair(sol: PendularSolution) -> QubitPair:
         c1=float(v1 @ cos @ v1),
         xme=float(v0 @ cos @ v1),
     )
-
-
-def field_to_x(mu_debye: float, field_kvcm: float, b_cm1: float) -> float:
-    """Reduced field x = 0.0168 * mu[D] * eps[kV/cm] / B[cm^-1]."""
-    if mu_debye <= 0 or field_kvcm <= 0 or b_cm1 <= 0:
-        raise ValueError(
-            "dipole moment, field and rotational constant must all be positive, "
-            f"got ({mu_debye}, {field_kvcm}, {b_cm1})"
-        )
-    return FIELD_UNIT_FACTOR * mu_debye * field_kvcm / b_cm1

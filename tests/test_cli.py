@@ -265,6 +265,21 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             "sweep/from",
         ),
         ({"task": "concurrence", "geometry": {"kind": "custom"}}, "positions"),
+        # arrays beyond the 24-molecule cap, which a run could not solve
+        (
+            {"task": "fig6a", "geometry": {"kind": "square", "rows": 5, "cols": 5}},
+            "25 sites exceed",
+        ),
+        (
+            {
+                "task": "fig6a",
+                "geometry": {
+                    "kind": "custom",
+                    "positions": [[k, 0, 0] for k in range(25)],
+                },
+            },
+            "25 sites exceed",
+        ),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -311,6 +326,8 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg40-fig5b x from below 0",
         "cfg41-fig3a omega from below 0",
         "cfg42-custom geometry without positions",
+        "cfg43-square geometry of 25 sites",
+        "cfg44-custom geometry of 25 sites",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
@@ -325,6 +342,21 @@ def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
         f"error: {line}\n" for line in violations.splitlines()
     )
     assert not out.exists()
+
+
+def test_unwritable_output_is_a_config_error_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("spectrum called before the output was opened")
+
+    monkeypatch.setattr(cli, "spectrum", never)
+    out = tmp_path / "missing" / "gap.csv"
+    cfg = write_cfg(tmp_path, {"task": "gap"})
+    assert cli.main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
 
 
 def test_sweep_task_without_a_sweep_block_is_a_config_error(tmp_path, capsys):
@@ -593,6 +625,16 @@ def test_phases_file_that_is_not_a_list_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "iqp.csv"
     assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert "phases.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_phases_file_is_a_config_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("[]")
+    cfg = {"task": "iqp", "parameters": {"phases_file": str(empty)}}
+    out = tmp_path / "iqp.csv"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "length (0,) is not a power of two" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -84,16 +84,8 @@ def test_from_phases_validation():
         DiagonalUnitary.from_phases([float("nan"), 0.0])
     with pytest.raises(ValueError, match="at least one qubit"):
         DiagonalUnitary.from_phases([0.5])
-
-
-def test_canonical_wraps_into_half_open_interval():
-    d = DiagonalUnitary.from_phases([3 * np.pi, -3 * np.pi, np.pi, -np.pi])
-    c = d.canonical()
-    assert np.all(c.phases > -np.pi - 1e-15)
-    assert np.all(c.phases <= np.pi + 1e-15)
-    assert np.allclose(c.matrix(), d.matrix(), atol=1e-12)
-    assert c.phases[2] == pytest.approx(np.pi)
-    assert c.phases[3] == pytest.approx(np.pi)
+    with pytest.raises(ValueError, match=r"length \(0,\) is not a power of two"):
+        DiagonalUnitary.from_phases([])
 
 
 def test_compile_single_qubit_z():

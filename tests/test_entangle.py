@@ -20,11 +20,7 @@ from polarq import (
     reduce,
     spectrum,
 )
-from polarq.entangle import (
-    InvalidPairError,
-    ReducedDensity,
-    spin_flip,
-)
+from polarq.entangle import InvalidPairError, ReducedDensity
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 
@@ -78,15 +74,6 @@ def test_reduce_index_order_swaps_basis():
     assert reduce(state, 1, 0).matrix[2, 2] == pytest.approx(1.0)
 
 
-def test_reduce_accepts_density_matrix_input():
-    state = np.zeros(8, dtype=complex)
-    state[0b000] = 1 / np.sqrt(2)
-    state[0b110] = 1j / np.sqrt(2)
-    from_pure = reduce(state, 0, 1).matrix
-    from_mixed = reduce(np.outer(state, state.conj()), 0, 1).matrix
-    assert np.allclose(from_pure, from_mixed, atol=1e-12)
-
-
 def test_reduce_rejects_bad_pairs():
     state = np.zeros(8)
     state[0] = 1.0
@@ -96,21 +83,19 @@ def test_reduce_rejects_bad_pairs():
         reduce(state, 0, 3)
     with pytest.raises(ValueError):
         reduce(np.zeros(6), 0, 1)
+    with pytest.raises(ValueError, match="state vector"):
+        reduce(np.eye(4) / 4, 0, 1)
 
 
 def test_density_validation():
     with pytest.raises(ValueError):
-        ReducedDensity(matrix=np.eye(3), pair=(0, 1))
+        ReducedDensity(matrix=np.eye(3))
     skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     skew[0, 1] = 1e-3
     with pytest.raises(ValueError):
-        ReducedDensity(matrix=skew, pair=(0, 1))
+        ReducedDensity(matrix=skew)
     with pytest.raises(ValueError):
-        ReducedDensity(matrix=np.eye(4, dtype=complex) / 2, pair=(0, 1))
-
-
-def test_spin_flip_bell_is_fixed_point():
-    assert np.allclose(spin_flip(bell_rho().astype(complex)), bell_rho(), atol=1e-12)
+        ReducedDensity(matrix=np.eye(4, dtype=complex) / 2)
 
 
 def test_concurrence_landmarks():

@@ -16,7 +16,6 @@ from polarq import (
     k_of_x,
     p_fit,
     qubit_pair,
-    residual_report,
     solve_pendular,
 )
 from polarq.fits import K_FIT_MAX_REL_ERROR, K_FIT_X_MAX, K_FIT_X_MIN, K_FIT_X_STEP
@@ -114,17 +113,6 @@ def test_c_fit_warns_only_outside_window(recwarn):
 def test_c_fit_is_linear_in_coupling():
     assert c_fit(2.0, 1e-3) == pytest.approx(k_of_x(2.0) * 1e-3, rel=1e-12)
     assert c_fit(2.0, 2e-3) / c_fit(2.0, 1e-3) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_residual_report():
-    exact = np.array([1.0, 2.0, 0.0])
-    approx = np.array([1.1, 1.9, 0.0])
-    rep = residual_report(exact, approx)
-    assert rep.relative_errors == pytest.approx([0.1, 0.05, 0.0])
-    assert rep.max_relative_error == pytest.approx(0.1)
-    assert rep.mean_relative_error == pytest.approx(0.05)
-    with pytest.raises(ValueError):
-        residual_report(np.ones(3), np.ones(4))
 
 
 @given(

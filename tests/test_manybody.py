@@ -20,7 +20,6 @@ from polarq import (
     QubitPair,
     build_hamiltonian,
     energy_gap,
-    frequency_shift,
     linear_array,
     p_not_all_zero,
     pair_couplings,
@@ -32,7 +31,6 @@ from polarq import manybody
 from polarq.lattice import ArrayGeometry, PairCoupling, angular_factor
 from polarq.manybody import (
     InsufficientSpectrumError,
-    LabelingError,
     NormalizationError,
     PerturbationInvalidError,
     QubitHamiltonian,
@@ -379,24 +377,6 @@ def test_perturbation_rejects_degenerate_levels():
         perturbative_ground_state(
             flat, [PairCoupling(i=0, j=1, omega=1e-3, alpha=math.pi / 2)], 2
         )
-
-
-def test_frequency_shift_behaviour(qp):
-    q = qp(2.0)
-    assert frequency_shift(q, 0.0, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
-    s1 = frequency_shift(q, 1e-4, math.pi / 2)
-    s2 = frequency_shift(q, 2e-4, math.pi / 2)
-    assert s2 / s1 == pytest.approx(2.0, abs=1e-3)
-    first_order = 1e-4 * angular_factor(math.pi / 2) * (q.c1 - q.c0) ** 2
-    assert s1 == pytest.approx(first_order, rel=0.01)
-    assert s1 > 0
-
-
-def test_frequency_shift_labeling_tie():
-    # pure xme coupling swaps basis pairs, so eigenstates have no unique label
-    tie = QubitPair(x=0.0, w0=0.0, w1=0.0, c0=0.0, c1=0.0, xme=1.0)
-    with pytest.raises(LabelingError):
-        frequency_shift(tie, 1.0, math.pi / 2)
 
 
 @settings(deadline=None, max_examples=20)

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from polarq import (
-    FIELD_UNIT_FACTOR,
     ConvergenceError,
     build_pendular_hamiltonian,
     cos_theta_matrix,
-    field_to_x,
     qubit_pair,
     solve_pendular,
 )
@@ -100,9 +98,9 @@ def test_frozen_spot_values(x):
 
 
 def test_convergence_postcondition():
-    # re-diagonalizing at j_max and j_max - 2 must bracket dw within tol
+    # re-diagonalizing at j_max and j_max - 2 must bracket dw within 1e-10
     for x in (1.0, 4.9, 12.0):
-        sol = solve_pendular(x, tol=1e-10)
+        sol = solve_pendular(x)
         w_here = tridiagonal_energies(x, sol.j_max)
         w_prev = tridiagonal_energies(x, sol.j_max - 2)
         assert abs((w_here[1] - w_here[0]) - (w_prev[1] - w_prev[0])) < 1e-10
@@ -136,22 +134,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         solve_pendular(-0.1)
     with pytest.raises(ValueError):
-        solve_pendular(1.0, tol=0.0)
-    with pytest.raises(ValueError):
         build_pendular_hamiltonian(1.0, 0)
     with pytest.raises(ValueError):
         cos_theta_matrix(0)
-
-
-def test_field_to_x():
-    assert field_to_x(1.0, 1.0, 1.0) == FIELD_UNIT_FACTOR
-    # doubling the field doubles x; B in the denominator
-    assert field_to_x(2.5, 4.0, 0.5) == pytest.approx(
-        FIELD_UNIT_FACTOR * 2.5 * 4.0 / 0.5
-    )
-    for bad in [(-1, 1, 1), (1, 0, 1), (1, 1, -2)]:
-        with pytest.raises(ValueError):
-            field_to_x(*bad)
 
 
 @settings(deadline=None, max_examples=25)
