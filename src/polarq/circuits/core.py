@@ -115,10 +115,15 @@ class Circuit:
         if other.n != self.n:
             raise CircuitError(f"cannot join circuits on {self.n} and {other.n} qubits")
         # both operands were validated on the same n; skip re-checking
-        joined = object.__new__(Circuit)
-        object.__setattr__(joined, "n", self.n)
-        object.__setattr__(joined, "gates", self.gates + other.gates)
-        return joined
+        return Circuit._trusted(self.n, self.gates + other.gates)
+
+    @classmethod
+    def _trusted(cls, n: int, gates: tuple[Gate, ...]) -> "Circuit":
+        """A circuit whose gates the caller built valid on n; none is checked."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "n", n)
+        object.__setattr__(circuit, "gates", gates)
+        return circuit
 
     @functools.cached_property
     def _runs(self) -> tuple[_Run, ...]:
@@ -410,20 +415,23 @@ def cluster_stabilizer_check(state: StateVector, edges) -> list[float]:
     Each expectation is +1 exactly when the state is the cluster state of
     the graph.
     """
-    es = _check_graph(edges, state.n)
-    neighbors: dict[int, list[int]] = {a: [] for a in range(state.n)}
+    n = state.n
+    es = _check_graph(edges, n)
+    neighbors: dict[int, list[int]] = {a: [] for a in range(n)}
     for a, b in es:
         neighbors[a].append(b)
         neighbors[b].append(a)
     amp = state.amplitudes
-    index = np.arange(1 << state.n)
+    psi = amp.reshape([2] * n)
     out = []
-    for a in range(state.n):
-        # (X_a prod_b Z_b psi)[y] = (-1)^{popcount(y & N(a))} psi[y ^ e_a]
-        nbrs = sum(1 << (state.n - 1 - b) for b in neighbors[a])
-        sign = np.where(np.bitwise_count(index & nbrs) & 1, -1.0, 1.0)
-        moved = amp[index ^ (1 << (state.n - 1 - a))]
-        out.append(float(np.vdot(amp, sign * moved).real))
+    for a in range(n):
+        # (X_a prod_b Z_b psi)[y] = (-1)^{sum_b y_b} psi[y ^ e_a]: axis a flipped,
+        # times a +-1 parity table over the neighbor axes
+        sign = np.ones(1)
+        for _ in neighbors[a]:
+            sign = np.concatenate([sign, -sign])
+        moved = np.flip(psi, a) * _on_qubits(sign, sorted(neighbors[a]), n)
+        out.append(float(np.vdot(amp, moved).real))
     return out
 
 
@@ -446,13 +454,22 @@ def _checked_cluster_state(edges, n: int) -> tuple[StateVector, list[float]]:
 
 
 def circuit_to_text(circuit: Circuit) -> str:
-    """Serialize: header line, then one ``GATE q[,q2][,theta]`` per line."""
+    """Serialize: header line, then one ``GATE q[,q2][,theta]`` per line.
+
+    A compiled circuit repeats a few shared CNOT objects many times, so each
+    gate object is formatted once.  The key is the object, not its value:
+    RZ(0.0) and RZ(-0.0) are equal but print differently.
+    """
+    text: dict[int, str] = {}
     lines = [f"# qubits={circuit.n}"]
     for g in circuit.gates:
-        parts = [str(q) for q in g.qubits]
-        if g.theta is not None:
-            parts.append(repr(g.theta))
-        lines.append(f"{g.name} {','.join(parts)}" if parts else g.name)
+        line = text.get(id(g))
+        if line is None:
+            parts = [str(q) for q in g.qubits]
+            if g.theta is not None:
+                parts.append(repr(g.theta))
+            line = text[id(g)] = f"{g.name} {','.join(parts)}" if parts else g.name
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

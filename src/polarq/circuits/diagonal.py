@@ -14,6 +14,7 @@ built from nearest-neighbor CNOTs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +68,16 @@ def long_range_cnot(control: int, target: int, n: int) -> Circuit:
         raise CircuitError(f"control and target coincide at {control}")
     if not (0 <= control < n and 0 <= target < n):
         raise CircuitError(f"({control}, {target}) out of range for n={n}")
-    return Circuit(n=n, gates=tuple(_cnot_walk(control, target)))
+    return Circuit(n=n, gates=_cnot_walk(control, target))
 
 
-def _cnot_walk(control: int, target: int) -> list[Gate]:
-    """Gates of long_range_cnot for indices it has already checked."""
+@functools.cache
+def _cnot_walk(control: int, target: int) -> tuple[Gate, ...]:
+    """Gates of long_range_cnot for indices it has already checked.
+
+    Memoised: a compiled circuit repeats at most n(n-1)/2 ladders, whose
+    frozen gates it shares.
+    """
     step = 1 if target > control else -1
     walk = []
     pos = control
@@ -82,7 +88,7 @@ def _cnot_walk(control: int, target: int) -> list[Gate]:
             Gate("CNOT", (pos, pos + step)),
         ]
         pos += step
-    return walk + [Gate("CNOT", (pos, target))] + walk[::-1]
+    return (*walk, Gate("CNOT", (pos, target)), *walk[::-1])
 
 
 def compile_diagonal(d: DiagonalUnitary, eps: float) -> Circuit:
@@ -96,6 +102,9 @@ def compile_diagonal(d: DiagonalUnitary, eps: float) -> Circuit:
         raise ValueError(f"error budget must be > 0, got {eps}")
     n = d.n
     a = walsh_coefficients(d)
+    # every angle below is a[0] or -2 a_s; the rest of each gate is built valid
+    if not np.abs(a).max() <= np.finfo(float).max / 2:
+        raise CircuitError("phases too large to compile: an angle overflows")
     order = sorted(range(1, 1 << n), key=lambda s: (abs(a[s]), s))
     dropped = set()
     budget = 0.0
@@ -119,7 +128,7 @@ def compile_diagonal(d: DiagonalUnitary, eps: float) -> Circuit:
         gates += ladder
         gates.append(Gate("RZ", (target,), -2.0 * float(a[s])))
         gates += ladder[::-1]
-    return Circuit(n=n, gates=tuple(gates))
+    return Circuit._trusted(n, tuple(gates))
 
 
 def iqp_probability(d: DiagonalUnitary) -> float:

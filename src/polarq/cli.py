@@ -41,7 +41,13 @@ from .circuits import (
     nmr_cnot_sequence,
     simulate,
 )
-from .circuits.core import MAX_QUBITS, Circuit, Gate, _checked_cluster_state
+from .circuits.core import (
+    MAX_QUBITS,
+    TWO_QUBIT_GATES,
+    Circuit,
+    Gate,
+    _checked_cluster_state,
+)
 from .entangle import concurrence, entanglement_of_formation, reduce
 from .fits import c_fit, p_fit
 from .lattice import (
@@ -227,11 +233,13 @@ class TaskPlan(NamedTuple):
 
     Planning only resolves the config: every solve happens as the rows are
     drawn, so a solver failure still leaves the metadata and header.
+    `outputs` names the files the rows write besides the CSV.
     """
 
     metadata: dict
     header: list[str]
     rows: Iterable[list]
+    outputs: tuple[str, ...] = ()
 
 
 def _sweep_plan(cfg, default, defaults, meta, header, row) -> TaskPlan:
@@ -453,17 +461,19 @@ def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
         for b in range(1 << d.n):
             out = simulate(circ, StateVector.basis(d.n, b))
             errs.append(abs(out.amplitudes[b] - np.exp(1j * d.phases[b])))
-        yield [
-            d.n,
-            eps,
-            circ.gate_count(),
-            circ.gate_count("CNOT"),
-            circ.gate_count("RZ"),
-            max(errs),
-            circ.nearest_neighbor,
-        ]
+        # gate_count per name and nearest_neighbor, in one pass over the gates
+        cnots = rzs = 0
+        adjacent = True
+        for g in circ.gates:
+            if g.name == "CNOT":
+                cnots += 1
+            elif g.name == "RZ":
+                rzs += 1
+            if g.name in TWO_QUBIT_GATES and abs(g.qubits[0] - g.qubits[1]) != 1:
+                adjacent = False
+        yield [d.n, eps, len(circ.gates), cnots, rzs, max(errs), adjacent]
 
-    return TaskPlan(meta, header, rows())
+    return TaskPlan(meta, header, rows(), (circuit_out,))
 
 
 def _plan_iqp(cfg, params, seed: int, *_) -> TaskPlan:
@@ -775,10 +785,14 @@ def run(cfg: dict, out_path: str, seed: int) -> int:
         for violation in str(exc).splitlines():
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
+    # every output is opened before any solve, the CSV last, so an output
+    # that cannot be written leaves no CSV behind
     try:
+        for path in plan.outputs:
+            open(path, "w", encoding="utf-8").close()
         f = open(out_path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     rows = []
     failure = None

@@ -131,12 +131,12 @@ def pair_couplings(
 
     Args:
         geom: site layout and field direction.
-        omega_nn: Omega/B at unit separation, >= 0.
+        omega_nn: Omega/B at unit separation, finite and >= 0.
         nearest_neighbors_only: keep only pairs at separation 1 (within 1e-9),
             the truncation used when studying whether long-range tails matter.
     """
-    if omega_nn < 0:
-        raise ValueError(f"omega_nn must be >= 0, got {omega_nn}")
+    if not 0 <= omega_nn < math.inf:
+        raise ValueError(f"omega_nn must be finite and >= 0, got {omega_nn}")
     pos = geom.positions
     f = geom.field_direction
     out: list[PairCoupling] = []

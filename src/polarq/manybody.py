@@ -25,6 +25,7 @@ ARPACK.  Importing this module loads no part of scipy.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -74,9 +75,15 @@ def _coupling_strengths(
     for c in couplings:
         if not (0 <= c.i < c.j < n):
             raise IndexError(
-                f"coupling ({c.i}, {c.j}) out of range for n={n} molecules"
+                f"coupling ({c.i}, {c.j}) breaks 0 <= i < j < n for n={n} molecules"
             )
-        out.append((c.i, c.j, c.omega * angular_factor(c.alpha)))
+        g = c.omega * angular_factor(c.alpha) if math.isfinite(c.alpha) else math.nan
+        if not math.isfinite(g):
+            raise ValueError(
+                f"coupling ({c.i}, {c.j}) has a non-finite strength:"
+                f" omega={c.omega}, alpha={c.alpha}"
+            )
+        out.append((c.i, c.j, g))
     return out
 
 
@@ -122,7 +129,8 @@ def build_hamiltonian(
 
     Raises:
         CapacityError: n > 24.
-        IndexError: a coupling references a site >= n.
+        IndexError: a coupling breaks 0 <= i < j < n.
+        ValueError: a coupling strength is not finite.
     """
     if n < 1:
         raise ValueError(f"need at least one molecule, got n={n}")

@@ -359,6 +359,25 @@ def test_unwritable_output_is_a_config_error_before_any_solve(
     assert not out.parent.exists()
 
 
+def test_unwritable_circuit_output_is_a_config_error_before_compiling(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("compile_diagonal called before the outputs were opened")
+
+    monkeypatch.setattr(cli, "compile_diagonal", never)
+    monkeypatch.chdir(tmp_path)
+    params = {"random_qubits": 3, "circuit_output": "nodir/x.circuit"}
+    cfg = write_cfg(tmp_path, {"task": "compile-diagonal", "parameters": params})
+    assert cli.main(["validate", cfg]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    assert cli.main(["run", cfg, "--out", "cd.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write nodir/x.circuit: No such file or directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 def test_sweep_task_without_a_sweep_block_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert cli.run({"task": "sweep"}, str(out), 0) == 2

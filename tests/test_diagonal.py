@@ -11,7 +11,9 @@ from scipy.linalg import expm
 
 from polarq.circuits import (
     Circuit,
+    CircuitError,
     DiagonalUnitary,
+    Gate,
     StateVector,
     circulant_walk_phases,
     compile_diagonal,
@@ -20,6 +22,7 @@ from polarq.circuits import (
     simulate,
     walsh_coefficients,
 )
+from polarq.circuits import core
 
 
 def dense_unitary(circuit):
@@ -142,6 +145,45 @@ def test_compile_rejects_nonpositive_budget():
         compile_diagonal(d, -1.0)
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-3, 0.5, 1e3])
+def test_compiled_gates_pass_the_gate_check(eps):
+    # compile_diagonal skips Circuit's per-gate check, so run it here
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        d = DiagonalUnitary.from_phases(rng.uniform(-np.pi, np.pi, 1 << n))
+        circ = compile_diagonal(d, eps)
+        assert circ.n == n
+        for g in circ.gates:
+            core._check_gate(g, n)
+
+
+def test_compile_rejects_phases_whose_angles_overflow():
+    for phases in ([1e308, 1e308], [9e307, -9e307]):
+        with np.errstate(over="ignore"), pytest.raises(CircuitError, match="too large"):
+            compile_diagonal(DiagonalUnitary.from_phases(phases), 1e-3)
+
+
+def unmemoised_walk(control, target):
+    step = 1 if target > control else -1
+    swaps = []
+    for pos in range(control, target - step, step):
+        swaps += [
+            Gate("CNOT", (pos, pos + step)),
+            Gate("CNOT", (pos + step, pos)),
+            Gate("CNOT", (pos, pos + step)),
+        ]
+    return (*swaps, Gate("CNOT", (target - step, target)), *swaps[::-1])
+
+
+def test_long_range_cnot_equals_a_fresh_walk_for_every_pair():
+    n = 6
+    for control in range(n):
+        for target in range(n):
+            if control != target:
+                got = long_range_cnot(control, target, n).gates
+                assert got == unmemoised_walk(control, target)
+
+
 def test_long_range_cnot_adjacent_is_primitive():
     c = long_range_cnot(0, 1, 2)
     assert c.gate_count() == 1
@@ -155,8 +197,6 @@ def test_long_range_cnot_exact_and_bounded(control, target, n):
     assert c.gate_count("CNOT") == c.gate_count() <= 6 * (m - 1) + 1
     assert c.nearest_neighbor
     # compare against the direct long-range gate
-    from polarq.circuits import Gate
-
     want = dense_unitary(Circuit(n=n, gates=(Gate("CNOT", (control, target)),)))
     assert np.max(np.abs(dense_unitary(c) - want)) <= 1e-12
 

@@ -83,6 +83,9 @@ def test_degenerate_and_invalid_inputs():
         custom_array([[0, 0, 0], [1, 0, 0], [0, 1e-10, 0]])
     with pytest.raises(ValueError):
         pair_couplings(linear_array(3), -1e-6)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pair_couplings(linear_array(3), bad)
     with pytest.raises(ValueError):
         linear_array(0)
     with pytest.raises(ValueError):

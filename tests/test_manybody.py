@@ -30,6 +30,7 @@ from polarq import (
 from polarq import manybody
 from polarq.lattice import ArrayGeometry, PairCoupling, angular_factor
 from polarq.manybody import (
+    DENSE_LIMIT,
     InsufficientSpectrumError,
     NormalizationError,
     PerturbationInvalidError,
@@ -278,6 +279,27 @@ def test_capacity_and_index_errors(qp):
         )
     with pytest.raises(ValueError):
         build_hamiltonian(qp(2.0), [], 0)
+
+
+@pytest.mark.parametrize("i, j", [(1, 0), (1, 1)])
+def test_misordered_pair_is_named_with_the_index_rule(qp, i, j):
+    coupling = PairCoupling(i=i, j=j, omega=1e-3, alpha=math.pi / 2)
+    with pytest.raises(IndexError, match=rf"\({i}, {j}\) breaks 0 <= i < j < n"):
+        build_hamiltonian(qp(2.0), [coupling], 3)
+
+
+@pytest.mark.parametrize(
+    "omega, alpha",
+    [(math.nan, 1.0), (math.inf, 1.0), (1e-3, math.nan), (1e-3, math.inf), (1e308, 0.0)],
+)
+def test_non_finite_coupling_strength_is_rejected(qp, omega, alpha):
+    # 1e308 at alpha = 0 overflows to -inf through the factor -2
+    coupling = PairCoupling(i=0, j=2, omega=omega, alpha=alpha)
+    for n in (3, DENSE_LIMIT + 1):
+        with pytest.raises(ValueError, match=r"coupling \(0, 2\) has a non-finite"):
+            build_hamiltonian(qp(2.0), [coupling], n)
+    with pytest.raises(ValueError, match=r"coupling \(0, 2\)"):
+        perturbative_ground_state(qp(2.0), [coupling], 3)
 
 
 def test_p_not_all_zero_basics(qp, chain_spectrum):
