@@ -35,8 +35,14 @@ class DiagonalUnitary:
         p = np.asarray(self.phases, dtype=float)
         if p.shape != (1 << self.n,):
             raise ValueError(f"need {1 << self.n} phases for n={self.n}, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("phases must be finite")
+        # a Walsh sum adds 2^n phases and an RZ angle is -2 a_s; within this
+        # bound neither overflows
+        bound, largest = np.finfo(float).max / p.size, np.abs(p).max()
+        if not largest <= bound:
+            raise ValueError(
+                f"phases must be finite with |theta| <= float_max / 2^n = {bound:.6g}"
+                f" for n={self.n}, got max |theta| = {largest:.6g}"
+            )
         object.__setattr__(self, "phases", p)
 
     @classmethod
@@ -102,9 +108,7 @@ def compile_diagonal(d: DiagonalUnitary, eps: float) -> Circuit:
         raise ValueError(f"error budget must be > 0, got {eps}")
     n = d.n
     a = walsh_coefficients(d)
-    # every angle below is a[0] or -2 a_s; the rest of each gate is built valid
-    if not np.abs(a).max() <= np.finfo(float).max / 2:
-        raise CircuitError("phases too large to compile: an angle overflows")
+    # each gate below is built valid: DiagonalUnitary's bound keeps its angles finite
     order = sorted(range(1, 1 << n), key=lambda s: (abs(a[s]), s))
     dropped = set()
     budget = 0.0

@@ -9,14 +9,14 @@ The Hamiltonian, in units of B, is
       + sum_{i<j} omega_ij (1 - 3 cos^2 alpha_ij) (M_i x M_j),
 
 with M = [[c0, xme], [xme, c1]] the cos(theta) matrix in the qubit pair.
-Up to 14 qubits the Hamiltonian is a dense matrix; above that it is applied
-matrix-free, up to the 24-qubit capacity cap.  The ground state, which
-serves the excitation probability and concurrences, comes from a certified
-Davidson iteration on the dense matrix, and from ARPACK's Lanczos iteration
-where the certificate fails and matrix-free.  The full spectrum is a dense
-`eigh`, and the lowest k >= 2 pairs a partial dense solve, up to 14 qubits;
-above that only the lowest few pairs are available, from ARPACK, so thermal
-populations, which need all 2^n levels, stop at 14 qubits.
+Each M_i x M_j splits into a diagonal part, xme-weighted flips of bit i and
+of bit j, and a g xme^2 flip of both.  H is kept in that form at every size
+up to the 24-qubit cap, and scattered dense too up to 14 qubits.  The ground
+state comes from a certified Davidson iteration on the dense matrix, and from
+ARPACK's Lanczos iteration where the certificate fails or no dense matrix
+exists.  The full spectrum (`eigh`) and the lowest k >= 2 pairs (LAPACK evr)
+need the dense matrix; above 14 qubits only the lowest few pairs are
+available, from ARPACK, so thermal populations stop at 14 qubits.
 
 scipy is imported only by the two solves that use it: scipy.linalg by the
 partial dense solve (k >= 2: the gap task and fig4a), scipy.sparse.linalg by
@@ -68,9 +68,11 @@ class UnderflowWarning(RuntimeWarning):
     """A probability underflowed to zero and is reported as 0."""
 
 
-def _coupling_strengths(
-    couplings: list[PairCoupling] | tuple[PairCoupling, ...], n: int
-) -> list[tuple[int, int, float]]:
+def _coupling_strengths(couplings, n: int) -> tuple[tuple[int, int, float], ...]:
+    if n < 1:
+        raise ValueError(f"need at least one molecule, got n={n}")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"n={n} exceeds the {MAX_QUBITS}-molecule cap")
     out = []
     for c in couplings:
         if not (0 <= c.i < c.j < n):
@@ -84,43 +86,65 @@ def _coupling_strengths(
                 f" omega={c.omega}, alpha={c.alpha}"
             )
         out.append((c.i, c.j, g))
-    return out
+    return tuple(out)
+
+
+def _flip_weights(qp: QubitPair, strengths, n: int, sites: list[int]) -> np.ndarray:
+    """Single-flip weights xme * sum_j g_ij c_{b_j} of the given sites, a row each.
+
+    Each row is an outer sum over the bits in ascending order, about two passes
+    over 2^n entries; apply asks for one site at a time, so no n x 2^n table.
+    """
+    pair_g = np.zeros((n, n))
+    for i, j, g in strengths:
+        pair_g[i, j] += g
+        pair_g[j, i] += g
+    terms = pair_g[sites, :, None] * qp.xme * np.array([qp.c0, qp.c1])
+    w = np.zeros((len(sites), 1))
+    for j in range(n):
+        nxt = np.empty((len(sites), w.shape[1], 2))
+        for b in range(2):  # one long loop per value of bit j
+            np.add(w, terms[:, j, b, None], out=nxt[:, :, b])
+        w = nxt.reshape(len(sites), -1)
+    return w
 
 
 @dataclass(frozen=True, eq=False)
 class QubitHamiltonian:
     """Hamiltonian of n coupled molecules in the 2^n qubit basis, units of B.
 
-    matrix is the dense array for n <= 14 and None above that; the spectral
-    routines then fall back to matrix-free application built from qp and
-    couplings.
+    diag is H's diagonal and strengths the resolved (i, j, g) of each pair;
+    apply forms H @ v from them at every size.  matrix is the same operator
+    scattered dense for n <= 14, and None above.
     """
 
     n: int
-    dim: int
     qp: QubitPair
     couplings: tuple[PairCoupling, ...]
+    diag: np.ndarray
+    strengths: tuple[tuple[int, int, float], ...]
     matrix: np.ndarray | None
 
+    @property
+    def dim(self) -> int:
+        return 1 << self.n
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """H @ v without materializing H."""
-        if self.matrix is not None:
-            return self.matrix @ v
-        m = np.array([[self.qp.c0, self.qp.xme], [self.qp.xme, self.qp.c1]])
-        ones = np.bitwise_count(np.arange(self.dim, dtype=np.uint64)).astype(float)
-        out = (self.n * self.qp.w0 + (self.qp.w1 - self.qp.w0) * ones) * v
-        for i, j, g in _coupling_strengths(self.couplings, self.n):
-            t = v.reshape([2] * self.n)
-            t = np.moveaxis(np.tensordot(m, t, axes=(1, i)), 0, i)
-            t = np.moveaxis(np.tensordot(m, t, axes=(1, j)), 0, j)
-            out = out + g * t.reshape(-1)
-        return out
+        """H @ v without materializing H; a flip of bit i reverses axis i."""
+        t = v.reshape([2] * self.n)
+        out = self.diag.reshape(t.shape) * t
+        for i in range(self.n):
+            w = _flip_weights(self.qp, self.strengths, self.n, [i])
+            out += w.reshape(t.shape) * np.flip(t, i)
+        for i, j, g in self.strengths:
+            out += g * self.qp.xme**2 * np.flip(t, (i, j))
+        return out.reshape(v.shape)
 
 
 def build_hamiltonian(
     qp: QubitPair, couplings: list[PairCoupling], n: int
 ) -> QubitHamiltonian:
-    """Assemble the 2^n qubit-basis Hamiltonian.
+    """Assemble the 2^n qubit-basis Hamiltonian; dense too up to 14 molecules.
 
     Args:
         qp: single-molecule energies and cos(theta) matrix elements.
@@ -132,35 +156,26 @@ def build_hamiltonian(
         IndexError: a coupling breaks 0 <= i < j < n.
         ValueError: a coupling strength is not finite.
     """
-    if n < 1:
-        raise ValueError(f"need at least one molecule, got n={n}")
-    if n > MAX_QUBITS:
-        raise CapacityError(f"n={n} exceeds the {MAX_QUBITS}-molecule cap")
     strengths = _coupling_strengths(couplings, n)
-    dim = 1 << n
-    if n > DENSE_LIMIT:
-        return QubitHamiltonian(
-            n=n, dim=dim, qp=qp, couplings=tuple(couplings), matrix=None
-        )
-    # M_i x M_j = diagonal part + xme-weighted flips of bit i, of bit j and of
-    # both.  The diagonal and single-flip parts are summed per site, so each
-    # pair costs one scatter (its double flip) and each site one more.
-    cols = np.arange(dim)
+    # M_i x M_j's diagonal part g c_{b_i} c_{b_j}, with c_{b_i} along axis i
     m_diag = np.array([qp.c0, qp.c1])
-    site_diag = [m_diag[(cols >> (n - 1 - i)) & 1] for i in range(n)]
-    ones = np.bitwise_count(cols.astype(np.uint64)).astype(float)
-    diag = n * qp.w0 + (qp.w1 - qp.w0) * ones
-    single = np.zeros((n, dim))
-    h = np.zeros((dim, dim))
+    site_diag = [m_diag.reshape([-1] + [1] * (n - 1 - i)) for i in range(n)]
+    cols = np.arange(1 << n)
+    diag = n * qp.w0 + (qp.w1 - qp.w0) * np.bitwise_count(cols)
+    grid = diag.reshape([2] * n)
     for i, j, g in strengths:
-        diag += g * site_diag[i] * site_diag[j]
-        single[i] += g * qp.xme * site_diag[j]
-        single[j] += g * qp.xme * site_diag[i]
-        h[cols ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))), cols] += g * qp.xme**2
-    for i in range(n):
-        h[cols ^ (1 << (n - 1 - i)), cols] += single[i]
-    h[cols, cols] = diag
-    return QubitHamiltonian(n=n, dim=dim, qp=qp, couplings=tuple(couplings), matrix=h)
+        grid += g * site_diag[i] * site_diag[j]
+    h = None
+    if n <= DENSE_LIMIT:
+        # flat holds (r, c) at (r << n) + c; flipping molecule k in r flips bit top - k
+        h, top = np.zeros((cols.size, cols.size)), 2 * n - 1
+        flat, at = h.reshape(-1), cols * (cols.size + 1)  # the diagonal (c, c)
+        for i, j, g in strengths:
+            flat[at ^ (1 << (top - i)) ^ (1 << (top - j))] += g * qp.xme**2
+        for i, w in enumerate(_flip_weights(qp, strengths, n, list(range(n)))):
+            flat[at ^ (1 << (top - i))] += w
+        flat[at] = diag
+    return QubitHamiltonian(n, qp, tuple(couplings), diag, strengths, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,17 +214,15 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
     eps = np.finfo(float).eps
     qp = h.qp
     # per pair: single flips of i and of j, each at most |g xme| max|c|, and
-    # the double flip g xme^2; a bound taken from |h.matrix| would allocate
-    # a matrix-sized temporary
+    # the double flip g xme^2; no matrix is read, so no matrix-sized temporary
     reach = abs(qp.xme) * (2 * max(abs(qp.c0), abs(qp.c1)) + abs(qp.xme))
-    s = reach * sum(abs(g) for _, _, g in _coupling_strengths(h.couplings, h.n))
-    diag = h.matrix.diagonal()
-    d1, d2 = np.partition(diag, 1)[:2]
+    s = reach * sum(abs(g) for _, _, g in h.strengths)
+    d1, d2 = np.partition(h.diag, 1)[:2]
     if not d1 + s < d2 - s:  # written so that NaN fails it
         return None
     basis = np.zeros((_DAVIDSON_STEPS + 1, h.dim))
     images = np.zeros((_DAVIDSON_STEPS + 1, h.dim))  # rows of H @ basis
-    start = int(np.argmin(diag))
+    start = int(np.argmin(h.diag))
     basis[0, start] = 1.0
     images[0] = h.matrix[start]
     m = 1
@@ -219,12 +232,8 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
         u, hu = y[:, 0] @ basis[:m], y[:, 0] @ images[:m]
         r = hu - theta * u
         if np.linalg.norm(r) <= 2 * eps * max(abs(theta), 1.0):
-            return Spectrum(
-                eigenvalues=np.array([theta]),
-                eigenvectors=_fix_phases(u[:, None]),
-                dim=h.dim,
-            )
-        t = r / np.minimum(theta - diag, -eps)
+            return Spectrum(np.array([theta]), _fix_phases(u[:, None]), h.dim)
+        t = r / np.minimum(theta - h.diag, -eps)
         t -= (basis[:m] @ t) @ basis[:m]
         first = np.linalg.norm(t)
         t -= (basis[:m] @ t) @ basis[:m]
@@ -253,10 +262,9 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     to an excited one (see `_davidson_ground`).  Where the couplings are too
     strong for that (in some arrays from Omega/B = 0.3 on), or where it does
     not converge, ARPACK's Lanczos iteration solves the dense matrix instead,
-    started from the uniform superposition.  Matrix-free, above 14 qubits,
-    the ground state stays on ARPACK (51 applies at n = 16): Davidson would
-    need about 5 there, but that path is what the benchmark's `chain_ground`
-    workload counts, so it changes together with that benchmark.
+    started from the uniform superposition.  Above 14 qubits ARPACK runs on
+    `h.apply` (51 applies at n = 16); Davidson there would move the counts of
+    the benchmark's `chain_ground` workload, so it waits for that benchmark.
 
     k = "all" is a full dense `eigh` and needs n <= 14.  An integer k >= 2 is
     a partial dense solve (LAPACK evr) up to 14 qubits and ARPACK above.
@@ -307,9 +315,7 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
 
     op = h.matrix
     if op is None:
-        op = LinearOperator(
-            (h.dim, h.dim), matvec=h.apply, dtype=float  # type: ignore[arg-type]
-        )
+        op = LinearOperator((h.dim, h.dim), matvec=h.apply, dtype=float)
     v0 = np.full(h.dim, 1.0 / np.sqrt(h.dim))
     try:
         w, v = eigsh(op, k=int(k), which="SA", v0=v0)
@@ -323,9 +329,7 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
             f"residuals of the converged ones: {residuals}"
         ) from exc
     order = np.argsort(w)
-    return Spectrum(
-        eigenvalues=w[order], eigenvectors=_fix_phases(v[:, order]), dim=h.dim
-    )
+    return Spectrum(w[order], _fix_phases(v[:, order]), h.dim)
 
 
 def p_not_all_zero(ground: np.ndarray) -> float:
@@ -399,10 +403,6 @@ def perturbative_ground_state(
     Raises:
         PerturbationInvalidError: dw = 0.
     """
-    if n < 1:
-        raise ValueError(f"need at least one molecule, got n={n}")
-    if n > MAX_QUBITS:
-        raise CapacityError(f"n={n} exceeds the {MAX_QUBITS}-molecule cap")
     strengths = _coupling_strengths(couplings, n)
     dw = qp.dw
     if dw == 0:

@@ -280,6 +280,20 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             },
             "25 sites exceed",
         ),
+        # phases whose Walsh sums overflow, which a compile could not finish
+        (
+            {"task": "compile-diagonal", "parameters": {"phases": [1e308, 1e308]}},
+            "float_max / 2^n",
+        ),
+        ({"task": "iqp", "parameters": {"phases": [1e308, 1e308]}}, "float_max / 2^n"),
+        (
+            {"task": "compile-diagonal", "parameters": {"phases": [1e308, -1e308]}},
+            "float_max / 2^n",
+        ),
+        (
+            {"task": "iqp", "parameters": {"phases_file": "huge_phases.json"}},
+            "float_max / 2^n",
+        ),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -328,9 +342,15 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg42-custom geometry without positions",
         "cfg43-square geometry of 25 sites",
         "cfg44-custom geometry of 25 sites",
+        "cfg45-compile-diagonal phases overflow",
+        "cfg46-iqp phases overflow",
+        "cfg47-compile-diagonal phases of both signs overflow",
+        "cfg48-phases_file overflow",
     ],
 )
-def test_validate_semantic_rules(tmp_path, capsys, cfg, needle):
+def test_validate_semantic_rules(tmp_path, capsys, monkeypatch, cfg, needle):
+    monkeypatch.chdir(tmp_path)  # for the relative phases_file
+    (tmp_path / "huge_phases.json").write_text("[1e308, 1e308]")
     path = write_cfg(tmp_path, cfg)
     assert cli.main(["validate", path]) == 2
     violations = capsys.readouterr().out

@@ -11,7 +11,6 @@ from scipy.linalg import expm
 
 from polarq.circuits import (
     Circuit,
-    CircuitError,
     DiagonalUnitary,
     Gate,
     StateVector,
@@ -157,10 +156,17 @@ def test_compiled_gates_pass_the_gate_check(eps):
             core._check_gate(g, n)
 
 
-def test_compile_rejects_phases_whose_angles_overflow():
-    for phases in ([1e308, 1e308], [9e307, -9e307]):
-        with np.errstate(over="ignore"), pytest.raises(CircuitError, match="too large"):
-            compile_diagonal(DiagonalUnitary.from_phases(phases), 1e-3)
+def test_phases_whose_walsh_sums_or_angles_overflow_are_rejected():
+    for phases in ([1e308, 1e308], [9e307, -9e307], [1e308, -1e308], [0.0, np.inf]):
+        with pytest.raises(ValueError, match=r"float_max / 2\^n"):
+            DiagonalUnitary.from_phases(phases)
+    # at the bound itself every Walsh sum and every angle stays finite
+    for n in (1, 3):
+        bound = np.finfo(float).max / 2**n
+        for phases in (np.full(2**n, bound), bound * (-1.0) ** np.arange(2**n)):
+            with np.errstate(over="raise"):
+                circ = compile_diagonal(DiagonalUnitary.from_phases(phases), 1e-3)
+            assert all(np.isfinite(g.theta) for g in circ.gates if g.theta is not None)
 
 
 def unmemoised_walk(control, target):

@@ -2,10 +2,13 @@
 
 Oracle strategy: the bit-arithmetic construction is checked entry-by-entry
 against a literal Kronecker-product build, the n=2 ground energy against a
-40-digit mpmath eigensolve, and the matrix-free application against the
-dense matrix on random vectors.
+40-digit mpmath eigensolve, and the structured product `apply` against the
+dense matrix on random vectors.  Above the dense limit, where no dense
+reference exists, the ground state is checked against perturbation theory.
 """
 
+import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -19,6 +22,7 @@ from polarq import (
     CapacityError,
     QubitPair,
     build_hamiltonian,
+    custom_array,
     energy_gap,
     linear_array,
     p_not_all_zero,
@@ -59,12 +63,6 @@ def kron_oracle(qp, couplings, n):
         g = c.omega * angular_factor(c.alpha)
         h += g * embed({c.i: m, c.j: m})
     return h
-
-
-def matrix_free(h: QubitHamiltonian) -> QubitHamiltonian:
-    return QubitHamiltonian(
-        n=h.n, dim=h.dim, qp=h.qp, couplings=h.couplings, matrix=None
-    )
 
 
 def test_single_molecule_diagonal(qp):
@@ -139,7 +137,7 @@ def test_dense_and_iterative_modes_agree(qp):
     q = qp(2.0)
     h = build_hamiltonian(q, pair_couplings(linear_array(9), 1e-3), 9)
     dense = spectrum(h, 2)
-    iterative = spectrum(matrix_free(h), 2)
+    iterative = spectrum(dataclasses.replace(h, matrix=None), 2)
     assert np.allclose(dense.eigenvalues, iterative.eigenvalues, atol=1e-9)
     for k in range(2):
         overlap = abs(dense.eigenvectors[:, k] @ iterative.eigenvectors[:, k])
@@ -247,7 +245,7 @@ def test_uncertified_dense_ground_state_runs_arpack_on_the_matrix(qp, eigsh_call
 )
 def test_spectrum_rejects_a_k_that_is_not_all_or_an_integer(qp, k):
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(3), 1e-3), 3)
-    for mode in (h, matrix_free(h)):
+    for mode in (h, dataclasses.replace(h, matrix=None)):
         with pytest.raises(ValueError, match="integer"):
             spectrum(mode, k)
 
@@ -262,12 +260,38 @@ def test_matrix_free_spectrum_rejects_k_outside_arpacks_range(qp, k):
 
 
 def test_matrix_free_apply_matches_dense(qp):
-    q = qp(4.9)
-    coups = pair_couplings(linear_array(5), 2e-3)
-    h = build_hamiltonian(q, coups, 5)
+    # apply is the one product at every size; the dense matrix, scattered
+    # from the same parts, is its reference wherever it exists
     rng = np.random.default_rng(3)
-    v = rng.normal(size=h.dim)
-    assert np.max(np.abs(matrix_free(h).apply(v) - h.matrix @ v)) < 1e-12
+    for n in range(1, 10):
+        positions = np.cumsum(rng.uniform(0.8, 1.6, size=(n, 3)), axis=0)
+        rows = next(r for r in (3, 2, 1) if n % r == 0)
+        for field in [(0, 0, 1), (1, 0, 0), (1, 1, 1)]:
+            geoms = [
+                linear_array(n, field),
+                square_array(rows, n // rows, field),
+                custom_array(positions, field),
+            ]
+            for geom, omega, nn in itertools.product(
+                geoms, (0.0, 2e-3, 0.5), (False, True)
+            ):
+                h = build_hamiltonian(qp(4.9), pair_couplings(geom, omega, nn), n)
+                v = rng.normal(size=h.dim)
+                err = np.max(np.abs(h.apply(v) - h.matrix @ v))
+                assert err <= 1e-12 * np.max(np.abs(h.matrix)), (n, geom, omega, nn)
+
+
+def test_ground_state_above_the_dense_limit_matches_perturbation_theory(qp):
+    # no dense reference exists at n = 15; first-order perturbation theory
+    # gets p right to relative order omega/dw, which ARPACK on apply must meet
+    n, omega = DENSE_LIMIT + 1, 1e-4
+    q = qp(2.0)
+    coups = pair_couplings(linear_array(n), omega)
+    h = build_hamiltonian(q, coups, n)
+    assert h.matrix is None
+    p = p_not_all_zero(spectrum(h, 1).eigenvectors[:, 0])
+    p_pert = p_not_all_zero(perturbative_ground_state(q, coups, n)[0])
+    assert abs(p - p_pert) <= 2 * omega / q.dw * p_pert
 
 
 def test_capacity_and_index_errors(qp):
