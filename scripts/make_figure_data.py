@@ -10,7 +10,7 @@ from pathlib import Path
 
 from polarq import cli
 
-FIGURE_TASKS = ("fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b")
+FIGURE_TASKS = tuple(task for task in cli.TASKS if task.startswith("fig"))
 
 
 def main() -> int:

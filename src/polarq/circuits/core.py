@@ -33,8 +33,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-SINGLE_QUBIT_GATES = ("H", "X", "Z", "RZ")
-TWO_QUBIT_GATES = ("CNOT", "CZ", "SWAP")
+# each gate's qubit count and whether it takes an angle
+GATES = {
+    "H": (1, False),
+    "X": (1, False),
+    "Z": (1, False),
+    "RZ": (1, True),
+    "PHASE": (0, True),
+    "CNOT": (2, False),
+    "CZ": (2, False),
+    "SWAP": (2, False),
+}
 # most qubits, or molecules in the many-body module, a state vector may hold
 MAX_QUBITS = 24
 
@@ -59,24 +68,20 @@ class Gate:
 
 
 def _check_gate(g: Gate, n: int) -> None:
-    if g.name in SINGLE_QUBIT_GATES:
-        if len(g.qubits) != 1:
-            raise CircuitError(f"{g.name} takes one qubit, got {g.qubits}")
-    elif g.name in TWO_QUBIT_GATES:
-        if len(g.qubits) != 2 or g.qubits[0] == g.qubits[1]:
-            raise CircuitError(f"{g.name} takes two distinct qubits, got {g.qubits}")
-    elif g.name == "PHASE":
-        if g.qubits:
-            raise CircuitError(f"PHASE is global, got qubits {g.qubits}")
-    else:
+    if g.name not in GATES:
         raise CircuitError(f"unknown gate {g.name!r}")
+    arity, takes_angle = GATES[g.name]
+    if len(g.qubits) != arity:
+        raise CircuitError(f"{g.name} takes {arity} qubits, got {g.qubits}")
     for q in g.qubits:
         # type(), not isinstance: bool is an int subclass
         if type(q) is not int and not isinstance(q, np.integer):
             raise CircuitError(f"{g.name} qubits must be integers, got {g.qubits}")
         if not 0 <= q < n:
             raise CircuitError(f"{g.name} on {g.qubits} out of range for n={n}")
-    if g.name in ("RZ", "PHASE"):
+    if len(set(g.qubits)) != arity:
+        raise CircuitError(f"{g.name} takes distinct qubits, got {g.qubits}")
+    if takes_angle:
         if g.theta is None or not math.isfinite(g.theta):
             raise CircuitError(f"{g.name} needs a finite angle, got {g.theta}")
     elif g.theta is not None:
@@ -100,11 +105,8 @@ class Circuit:
     @property
     def nearest_neighbor(self) -> bool:
         """True iff every two-qubit gate acts on adjacent indices."""
-        return all(
-            abs(g.qubits[0] - g.qubits[1]) == 1
-            for g in self.gates
-            if g.name in TWO_QUBIT_GATES
-        )
+        pairs = (g.qubits for g in self.gates if len(g.qubits) == 2)
+        return all(abs(a - b) == 1 for a, b in pairs)
 
     def gate_count(self, name: str | None = None) -> int:
         if name is None:
@@ -279,10 +281,8 @@ def _walk(gates, start: int, n: int):
             m = masks[q]
             terms[m] = terms.get(m, 0.0) + (0.5 if flips[q] else -0.5) * math.pi
             const += 0.5 * math.pi
-        elif name == "PHASE":
+        else:  # PHASE
             const += g.theta
-        else:
-            raise CircuitError(f"unknown gate {name!r}")
     return stop, masks, flips, terms, const
 
 
@@ -490,9 +490,10 @@ def circuit_from_text(text: str) -> Circuit:
         name, _, rest = line.partition(" ")
         args = rest.split(",") if rest.strip() else []
         if not header:
-            if name not in SINGLE_QUBIT_GATES + TWO_QUBIT_GATES + ("PHASE",):
+            if name not in GATES:
                 raise CircuitError(f"line {lineno}: unknown gate {name!r}")
-            want = 2 if name == "RZ" or name in TWO_QUBIT_GATES else 1
+            arity, takes_angle = GATES[name]
+            want = arity + takes_angle
             if len(args) != want:
                 raise CircuitError(
                     f"line {lineno}: {name} takes {want} arguments, got {len(args)}"
@@ -502,14 +503,9 @@ def circuit_from_text(text: str) -> Circuit:
                 body = line.lstrip("#").strip()
                 if body.startswith("qubits="):
                     n = int(body.removeprefix("qubits="))
-            elif name == "RZ":
-                gates.append(Gate("RZ", (int(args[0]),), float(args[1])))
-            elif name == "PHASE":
-                gates.append(Gate("PHASE", (), float(args[0])))
-            elif name in TWO_QUBIT_GATES:
-                gates.append(Gate(name, (int(args[0]), int(args[1]))))
             else:
-                gates.append(Gate(name, (int(args[0]),)))
+                theta = float(args[-1]) if takes_angle else None
+                gates.append(Gate(name, tuple(map(int, args[:arity])), theta))
         except ValueError as exc:
             raise CircuitError(f"line {lineno}: cannot parse {line!r}") from exc
     if n is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_QUBITS, Circuit, CircuitError, Gate, fwht
+from .core import MAX_QUBITS, Circuit, CircuitError, Gate, _qubits_of, fwht
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +124,7 @@ def compile_diagonal(d: DiagonalUnitary, eps: float) -> Circuit:
     for s in range(1, 1 << n):
         if s in dropped or a[s] == 0.0:
             continue
-        qs = [q for q in range(n) if (s >> (n - 1 - q)) & 1]
+        qs = _qubits_of(s, n)
         target = qs[0]
         ladder: list[Gate] = []
         for q in qs[1:]:

@@ -43,7 +43,6 @@ from .circuits import (
 )
 from .circuits.core import (
     MAX_QUBITS,
-    TWO_QUBIT_GATES,
     Circuit,
     Gate,
     _checked_cluster_state,
@@ -112,26 +111,19 @@ def _geometry(cfg) -> tuple[ArrayGeometry, bool]:
     if kind == "custom" and "positions" not in g:
         raise ConfigError("geometry: custom geometry requires positions")
     field = g.get("field_direction", (0, 0, 1))
-    # counted before any site is placed: the coincidence check is O(sites^2)
-    if kind == "linear":
-        sites = g.get("n", n)
-    elif kind == "square":
-        rows, cols = g.get("rows", 3), g.get("cols", 3)
-        sites = rows * cols
-    else:
-        sites = len(g["positions"])
-    if sites > MAX_QUBITS:
-        cap = f"the {MAX_QUBITS}-molecule cap"
-        raise ConfigError(f"geometry: {sites} sites exceed {cap}")
+    # the schema caps n, rows, cols and positions, so every array is small
     try:
         if kind == "linear":
-            geom = linear_array(sites, field)
+            geom = linear_array(g.get("n", n), field)
         elif kind == "square":
-            geom = square_array(rows, cols, field)
+            geom = square_array(g.get("rows", 3), g.get("cols", 3), field)
         else:
             geom = custom_array(g["positions"], field)
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
+    if geom.n_sites > MAX_QUBITS:
+        cap = f"the {MAX_QUBITS}-molecule cap"
+        raise ConfigError(f"geometry: {geom.n_sites} sites exceed {cap}")
     return geom, g.get("nearest_neighbors_only", False)
 
 
@@ -442,6 +434,10 @@ def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
     circuit_out = params.get(
         "circuit_output", os.path.splitext(out_path)[0] + ".circuit"
     )
+    if os.path.realpath(circuit_out) == os.path.realpath(out_path):
+        raise ConfigError(
+            f"parameters/circuit_output: {circuit_out!r} is also the CSV path"
+        )
     meta.update({"eps": eps, "n": d.n, "circuit_output": circuit_out})
     header = [
         "n",
@@ -461,17 +457,8 @@ def _plan_compile_diagonal(cfg, params, seed: int, out_path: str) -> TaskPlan:
         for b in range(1 << d.n):
             out = simulate(circ, StateVector.basis(d.n, b))
             errs.append(abs(out.amplitudes[b] - np.exp(1j * d.phases[b])))
-        # gate_count per name and nearest_neighbor, in one pass over the gates
-        cnots = rzs = 0
-        adjacent = True
-        for g in circ.gates:
-            if g.name == "CNOT":
-                cnots += 1
-            elif g.name == "RZ":
-                rzs += 1
-            if g.name in TWO_QUBIT_GATES and abs(g.qubits[0] - g.qubits[1]) != 1:
-                adjacent = False
-        yield [d.n, eps, len(circ.gates), cnots, rzs, max(errs), adjacent]
+        counts = [circ.gate_count(), circ.gate_count("CNOT"), circ.gate_count("RZ")]
+        yield [d.n, eps, *counts, max(errs), circ.nearest_neighbor]
 
     return TaskPlan(meta, header, rows(), (circuit_out,))
 
@@ -499,20 +486,14 @@ def _cluster_edges(params: dict) -> tuple[list[tuple[int, int]], int, str]:
         edges = [tuple(e) for e in params["edges"]]
         n = params["n"] if "n" in params else 1 + max(map(max, edges), default=-1)
         return edges, n, "custom"
-    kind = params.get("graph", "chain")
-    if kind == "chain":
+    if params.get("graph", "chain") == "chain":
         n = params.get("n", 3)
-        return [(i, i + 1) for i in range(n - 1)], n, f"chain[{n}]"
-    rows, cols = params.get("rows", 3), params.get("cols", 3)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return edges, rows * cols, f"grid[{rows}x{cols}]"
+        geom, label = linear_array(n), f"chain[{n}]"
+    else:
+        rows, cols = params.get("rows", 3), params.get("cols", 3)
+        geom, label = square_array(rows, cols), f"grid[{rows}x{cols}]"
+    nearest = pair_couplings(geom, 1.0, nearest_neighbors_only=True)
+    return [(c.i, c.j) for c in nearest], geom.n_sites, label
 
 
 def _plan_cluster_check(cfg, params, *_) -> TaskPlan:
@@ -661,9 +642,9 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kind": {"enum": ["linear", "square", "custom"]},
                 "n": _COUNT,
-                "rows": {"type": "integer", "minimum": 1},
-                "cols": {"type": "integer", "minimum": 1},
-                "positions": _array(_array(_NUMBER, 3)),
+                "rows": _COUNT,
+                "cols": _COUNT,
+                "positions": {**_array(_array(_NUMBER, 3)), "maxItems": MAX_QUBITS},
                 "field_direction": _array(_NUMBER, 3),
                 "nearest_neighbors_only": {"type": "boolean"},
             },
@@ -689,8 +670,8 @@ CONFIG_SCHEMA = {
                 "kt": {"type": "number", "minimum": 0},
                 "n": _COUNT,
                 "eps": {"type": "number", "exclusiveMinimum": 0},
-                "rows": {"type": "integer", "minimum": 1},
-                "cols": {"type": "integer", "minimum": 1},
+                "rows": _COUNT,
+                "cols": _COUNT,
                 "n_values": _array(_COUNT),
                 "x_values": _array({"type": "number", "minimum": 0}),
                 "omega_values": _array({"type": "number", "minimum": 0}),
@@ -835,13 +816,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # planning rejects a config that is not an object before it uses the path
+    named = cfg if isinstance(cfg, dict) else {}
+    out_path = named.get("output") or f"{named.get('task')}.csv"
     if args.command == "run":
-        # run rejects a config that is not an object before it uses the path
-        named = cfg if isinstance(cfg, dict) else {}
-        out_path = args.out or named.get("output") or f"{named.get('task')}.csv"
-        return run(cfg, out_path, args.seed)
+        return run(cfg, args.out or out_path, args.seed)
     try:
-        plan_config(cfg)
+        plan_config(cfg, out_path=out_path)
     except ConfigError as exc:
         print(exc)
         return EXIT_CONFIG

@@ -228,17 +228,23 @@ def test_serialization_round_trip_explicit():
         n=4,
         gates=(
             Gate("H", (0,)),
+            Gate("X", (1,)),
+            Gate("Z", (3,)),
             Gate("RZ", (2,), -0.123456789012345),
+            Gate("RZ", (1,), -0.0),
             Gate("CNOT", (0, 3)),
             Gate("PHASE", (), 2.5),
+            Gate("CZ", (3, 1)),
             Gate("SWAP", (1, 2)),
         ),
     )
     text = circuit_to_text(c)
     assert text.startswith("# qubits=4\n")
+    assert "RZ 1,-0.0\n" in text
     back = circuit_from_text(text)
     assert back.n == c.n
     assert back.gates == c.gates
+    assert np.signbit(back.gates[4].theta)  # RZ(-0.0) == RZ(0.0) as dataclasses
 
 
 def test_serialization_errors():
@@ -247,11 +253,15 @@ def test_serialization_errors():
     with pytest.raises(CircuitError):
         circuit_from_text("# qubits=2\nQUUX 0\n")
     with pytest.raises(CircuitError):
-        circuit_from_text("# qubits=2\nRZ 0\n")
-    with pytest.raises(CircuitError):
         circuit_from_text("# qubits=2\nCNOT 0,x\n")
+    with pytest.raises(CircuitError, match="distinct"):
+        circuit_from_text("# qubits=2\nCZ 1,1\n")
     for text in (
         "# qubits=3\nH 0,1\n",
+        "# qubits=3\nRZ 0\n",
+        "# qubits=3\nPHASE 0,1.5\n",
+        "# qubits=3\nCNOT 0\n",
+        "# qubits=3\nSWAP 0,1,2\n",
         "# qubits=3\nCNOT 0,1,2\n",
         "# qubits=3\nRZ 0,0.5,7\n",
         "# qubits=abc\nH 0\n",

@@ -278,7 +278,7 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
                     "positions": [[k, 0, 0] for k in range(25)],
                 },
             },
-            "25 sites exceed",
+            "is too long",
         ),
         # phases whose Walsh sums overflow, which a compile could not finish
         (
@@ -293,6 +293,15 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         (
             {"task": "iqp", "parameters": {"phases_file": "huge_phases.json"}},
             "float_max / 2^n",
+        ),
+        # lattice and grid sides beyond the cap, rejected before any site is placed
+        (
+            {"task": "fig6a", "geometry": {"rows": 25}},
+            "geometry/rows: 25 is greater than the maximum of 24",
+        ),
+        (
+            {"task": "cluster-check", "parameters": {"graph": "grid", "cols": 25}},
+            "parameters/cols: 25 is greater than the maximum of 24",
         ),
     ],
     # literal ids: a case added anywhere in the list renames no other case
@@ -346,6 +355,8 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg46-iqp phases overflow",
         "cfg47-compile-diagonal phases of both signs overflow",
         "cfg48-phases_file overflow",
+        "cfg49-square geometry of 25 rows",
+        "cfg50-grid graph of 25 columns",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, monkeypatch, cfg, needle):
@@ -395,6 +406,30 @@ def test_unwritable_circuit_output_is_a_config_error_before_compiling(
     assert cli.main(["run", cfg, "--out", "cd.csv"]) == 2
     err = capsys.readouterr().err
     assert err == "error: cannot write nodir/x.circuit: No such file or directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "params, out",
+    [
+        ({"random_qubits": 3, "circuit_output": "same.csv"}, "same.csv"),
+        ({"random_qubits": 3}, "r.circuit"),  # the default circuit path
+    ],
+    ids=["circuit_output", "default"],
+)
+def test_circuit_file_at_the_csv_path_is_a_config_error(
+    tmp_path, capsys, monkeypatch, params, out
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {"task": "compile-diagonal", "parameters": params})
+    assert cli.main(["run", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameters/circuit_output: ")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    # validate plans with the path a run without --out would write
+    both = {"task": "compile-diagonal", "parameters": params, "output": out}
+    assert cli.main(["validate", write_cfg(tmp_path, both)]) == 2
+    assert "parameters/circuit_output" in capsys.readouterr().out
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
@@ -713,6 +748,40 @@ def test_cluster_check_grid(tmp_path):
     for row in rows:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-10)
 
+
+
+def _grid_edges_reference(rows, cols):
+    """Nearest-neighbour edges of a row-major grid, right then down per vertex."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return edges
+
+
+@pytest.mark.parametrize(
+    "params, edges",
+    [
+        (
+            {"graph": "grid", "rows": rows, "cols": cols},
+            _grid_edges_reference(rows, cols),
+        )
+        for rows, cols in [(1, 4), (4, 1), (2, 3), (4, 4)]
+    ]
+    + [({"graph": "chain", "n": 5}, [(i, i + 1) for i in range(4)])],
+    ids=["grid1x4", "grid4x1", "grid2x3", "grid4x4", "chain5"],
+)
+def test_cluster_check_edges_metadata(tmp_path, params, edges):
+    cfg = write_cfg(tmp_path, {"task": "cluster-check", "parameters": params})
+    out = tmp_path / "cc.csv"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert meta["edges"] == ";".join(f"{a}-{b}" for a, b in edges)
+    assert len(rows) == 1 + max(map(max, edges))
 
 
 def test_cluster_check_checks_the_stabilizers_once(tmp_path, monkeypatch):
