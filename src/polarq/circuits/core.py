@@ -27,6 +27,7 @@ with repr.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -98,6 +99,8 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise CircuitError(f"need at least one qubit, got n={self.n}")
+        if self.n > MAX_QUBITS:
+            raise CircuitError(f"n={self.n} exceeds the {MAX_QUBITS}-qubit cap")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             _check_gate(g, self.n)
@@ -404,9 +407,8 @@ def _check_graph(edges, n: int) -> list[tuple[int, int]]:
 def cluster_circuit(edges, n: int) -> Circuit:
     """H on every qubit, then CZ across every edge of the graph."""
     es = _check_graph(edges, n)
-    gates = [Gate("H", (q,)) for q in range(n)]
-    gates += [Gate("CZ", e) for e in es]
-    return Circuit(n=n, gates=tuple(gates))
+    h_layer = (Gate("H", (q,)) for q in range(n))  # lazy: Circuit checks n first
+    return Circuit(n=n, gates=itertools.chain(h_layer, (Gate("CZ", e) for e in es)))
 
 
 def cluster_stabilizer_check(state: StateVector, edges) -> list[float]:

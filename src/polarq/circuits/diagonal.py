@@ -32,6 +32,8 @@ class DiagonalUnitary:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
+        if self.n > MAX_QUBITS:
+            raise ValueError(f"n={self.n} exceeds the {MAX_QUBITS}-qubit cap")
         p = np.asarray(self.phases, dtype=float)
         if p.shape != (1 << self.n,):
             raise ValueError(f"need {1 << self.n} phases for n={self.n}, got {p.shape}")
@@ -141,8 +143,6 @@ def iqp_probability(d: DiagonalUnitary) -> float:
     The Hadamard sandwich turns the diagonal into a plain average:
     p = |mean_b e^{i theta_b}|^2.
     """
-    if d.n > MAX_QUBITS:
-        raise ValueError(f"n={d.n} exceeds the {MAX_QUBITS}-qubit cap")
     return float(abs(np.mean(np.exp(1j * d.phases))) ** 2)
 
 
@@ -155,7 +155,4 @@ def circulant_walk_phases(eigenvalues, t: float) -> DiagonalUnitary:
     Raises:
         ValueError: eigenvalue count is not a power of two.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.shape[0] < 2 or lam.shape[0] & (lam.shape[0] - 1):
-        raise ValueError(f"need 2^n eigenvalues, got shape {lam.shape}")
-    return DiagonalUnitary.from_phases(-lam * t)
+    return DiagonalUnitary.from_phases(-np.asarray(eigenvalues, dtype=float) * t)

@@ -78,18 +78,25 @@ class ConfigError(Exception):
     """A config that cannot be read, parsed or planned; one violation a line."""
 
 
-def load_config(path: str) -> dict:
-    # Python's json reads NaN and Infinity, which JSON does not allow, and
-    # turns 1e999 into inf; no task can compute with either
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: invalid JSON: non-finite number {text}")
-        return value
+def _finite_numbers(path: str) -> dict:
+    """json.load hooks that reject, naming path, the numbers no float holds.
 
+    Python's json reads NaN, Infinity, 1e999 (as inf) and integers of any length.
+    """
+
+    def finite(text: str):
+        if not math.isfinite(float(text)):
+            cut = f"{text:.20}..." if len(text) > 20 else text
+            raise ConfigError(f"{path}: invalid JSON: non-finite number {cut}")
+        return int(text) if text.lstrip("-").isdigit() else float(text)
+
+    return dict.fromkeys(["parse_float", "parse_int", "parse_constant"], finite)
+
+
+def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f, parse_float=finite, parse_constant=finite)
+            return json.load(f, **_finite_numbers(path))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -202,11 +209,12 @@ def _resolve_phases(params: dict, seed: int) -> tuple[DiagonalUnitary, dict]:
         with open(path, encoding="utf-8") as f:
             text = f.read()
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, **_finite_numbers(path))
         except json.JSONDecodeError:
             raw = [float(line) for line in text.split()]
-        if not isinstance(raw, list):
-            raise ValueError(f"{path}: expected a JSON array or numbers, got {raw!r}")
+        errors = jsonschema.Draft202012Validator(_PHASES).iter_errors(raw)
+        if bad := [f"{path}: {e.message}" for e in errors]:
+            raise ConfigError("\n".join(bad))
         d = DiagonalUnitary.from_phases(raw)
         meta["phases_file"] = path
     else:
@@ -499,9 +507,7 @@ def _cluster_edges(params: dict) -> tuple[list[tuple[int, int]], int, str]:
 def _plan_cluster_check(cfg, params, *_) -> TaskPlan:
     """Prepare a cluster state and report every stabilizer expectation."""
     edges, n, label = _cluster_edges(params)
-    if n > MAX_QUBITS:
-        raise ConfigError(f"parameters: graph has {n} vertices, more than {MAX_QUBITS}")
-    cluster_circuit(edges, n)  # rejects self-loops, repeats, out of range
+    cluster_circuit(edges, n)  # rejects self-loops, repeats, out of range, over the cap
     header = ["vertex", "stabilizer_expectation"]
     meta = {"graph": label, "n": n, "edges": _join(f"{a}-{b}" for a, b in edges)}
 
@@ -627,6 +633,7 @@ def _array(items: dict, size: int | None = None, min_items: int = 1) -> dict:
 _NUMBER = {"type": "number"}
 _COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_QUBITS}
 _PAIR = _array({"type": "integer", "minimum": 0}, 2)
+_PHASES = _array(_NUMBER, min_items=2)  # inline phases and a phases_file's list
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -657,7 +664,7 @@ CONFIG_SCHEMA = {
                 "parameter": {"enum": ["omega", "x", "kt"]},
                 "from": {"type": "number", "minimum": 0},
                 "to": _NUMBER,
-                "points": {"type": "integer", "minimum": 1},
+                "points": {"type": "integer", "minimum": 1, "maximum": 1_000_000},
                 "scale": {"enum": ["linear", "log"]},
             },
         },
@@ -676,7 +683,7 @@ CONFIG_SCHEMA = {
                 "x_values": _array({"type": "number", "minimum": 0}),
                 "omega_values": _array({"type": "number", "minimum": 0}),
                 "pairs": _array(_PAIR),
-                "phases": _array(_NUMBER, min_items=2),
+                "phases": _PHASES,
                 "phases_file": {"type": "string"},
                 "random_qubits": _COUNT,
                 "edges": {"type": "array", "items": _PAIR},

@@ -13,9 +13,9 @@ Each M_i x M_j splits into a diagonal part, xme-weighted flips of bit i and
 of bit j, and a g xme^2 flip of both.  H is kept in that form at every size
 up to the 24-qubit cap, and scattered dense too up to 14 qubits.  The ground
 state comes from a certified Davidson iteration on the dense matrix, and from
-ARPACK's Lanczos iteration where the certificate fails or no dense matrix
-exists.  The full spectrum (`eigh`) and the lowest k >= 2 pairs (LAPACK evr)
-need the dense matrix; above 14 qubits only the lowest few pairs are
+ARPACK's Lanczos iteration on `apply` where the certificate fails or no dense
+matrix exists.  The full spectrum (`eigh`) and the lowest k >= 2 pairs (LAPACK
+evr) need the dense matrix; above 14 qubits only the lowest few pairs are
 available, from ARPACK, so thermal populations stop at 14 qubits.
 
 scipy is imported only by the two solves that use it: scipy.linalg by the
@@ -261,10 +261,10 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     where the diagonal certifies that it converges to the ground state and not
     to an excited one (see `_davidson_ground`).  Where the couplings are too
     strong for that (in some arrays from Omega/B = 0.3 on), or where it does
-    not converge, ARPACK's Lanczos iteration solves the dense matrix instead,
-    started from the uniform superposition.  Above 14 qubits ARPACK runs on
-    `h.apply` (51 applies at n = 16); Davidson there would move the counts of
-    the benchmark's `chain_ground` workload, so it waits for that benchmark.
+    not converge, ARPACK's Lanczos iteration solves it instead, on `h.apply`
+    at every size (51 applies at n = 16), started from the uniform
+    superposition.  Davidson above 14 qubits would move the counts of the
+    benchmark's `chain_ground` workload, so it waits for that benchmark.
 
     k = "all" is a full dense `eigh` and needs n <= 14.  An integer k >= 2 is
     a partial dense solve (LAPACK evr) up to 14 qubits and ARPACK above.
@@ -313,15 +313,13 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
         return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(v), dim=h.dim)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    op = h.matrix
-    if op is None:
-        op = LinearOperator((h.dim, h.dim), matvec=h.apply, dtype=float)
+    op = LinearOperator((h.dim, h.dim), matvec=h.apply, dtype=float)
     v0 = np.full(h.dim, 1.0 / np.sqrt(h.dim))
     try:
         w, v = eigsh(op, k=int(k), which="SA", v0=v0)
     except ArpackNoConvergence as exc:
         residuals = [
-            float(np.linalg.norm(op @ vec - val * vec))
+            float(np.linalg.norm(h.apply(vec) - val * vec))
             for val, vec in zip(exc.eigenvalues, exc.eigenvectors.T)
         ]
         raise SolverError(

@@ -45,8 +45,6 @@ def build_pendular_hamiltonian(x: float, j_max: int) -> np.ndarray:
     """Dense (j_max+1) x (j_max+1) Hamiltonian J(J+1) - x*cos(theta), units of B."""
     if x < 0:
         raise ValueError(f"reduced field x must be >= 0, got {x}")
-    if j_max < 1:
-        raise ValueError(f"truncation j_max must be >= 1, got {j_max}")
     diag = np.array([j * (j + 1) for j in range(j_max + 1)], dtype=float)
     return np.diag(diag) - x * cos_theta_matrix(j_max)
 
@@ -88,8 +86,6 @@ def solve_pendular(x: float) -> PendularSolution:
     Raises:
         ConvergenceError: dw has not settled by j_max = 200.
     """
-    if x < 0:
-        raise ValueError(f"reduced field x must be >= 0, got {x}")
     prev_dw = None
     for j_max in range(4, J_MAX_LIMIT + 1, 2):
         w, v = np.linalg.eigh(build_pendular_hamiltonian(x, j_max))

@@ -22,6 +22,7 @@ from polarq import (
     spectrum,
 )
 from polarq import cli, lattice
+from polarq.circuits import diagonal
 from polarq.circuits import (
     Circuit,
     DiagonalUnitary,
@@ -185,7 +186,7 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
                 "task": "cluster-check",
                 "parameters": {"graph": "grid", "rows": 5, "cols": 5},
             },
-            "25 vertices",
+            "n=25 exceeds the 24-qubit cap",
         ),
         # parameters.n beside a geometry block on the tasks whose default is 2 sites
         (
@@ -303,6 +304,14 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             {"task": "cluster-check", "parameters": {"graph": "grid", "cols": 25}},
             "parameters/cols: 25 is greater than the maximum of 24",
         ),
+        # a sweep that would not fit in memory, rejected before any value is made
+        (
+            {
+                "task": "fig3a",
+                "sweep": {"parameter": "omega", "from": 0, "to": 1, "points": 10**15},
+            },
+            "sweep/points: 1000000000000000 is greater than the maximum of 1000000",
+        ),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -357,6 +366,7 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg48-phases_file overflow",
         "cfg49-square geometry of 25 rows",
         "cfg50-grid graph of 25 columns",
+        "cfg51-sweep of more than a million points",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, monkeypatch, cfg, needle):
@@ -448,7 +458,7 @@ def test_validate_opens_the_phases_file(tmp_path, capsys):
     for path, needle in [
         (tmp_path / "absent.json", "absent.json"),
         (not_a_list, "phases.json"),
-        (one_number, "at least one qubit"),
+        (one_number, "is too short"),
     ]:
         cfg = {"task": "compile-diagonal", "parameters": {"phases_file": str(path)}}
         assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == 2
@@ -708,8 +718,72 @@ def test_empty_phases_file_is_a_config_error(tmp_path, capsys):
     cfg = {"task": "iqp", "parameters": {"phases_file": str(empty)}}
     out = tmp_path / "iqp.csv"
     assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
-    assert "length (0,) is not a power of two" in capsys.readouterr().err
+    assert "is too short" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        ('["1", "2"]', "'1' is not of type 'number'"),
+        ("[true, false]", "True is not of type 'number'"),
+        ("[null, 1]", "None is not of type 'number'"),
+        ("[1, 1" + "0" * 400 + "]", "non-finite number 10000000000000000000..."),
+    ],
+    ids=["strings", "booleans", "null", "integer beyond float range"],
+)
+def test_phases_file_entries_follow_the_inline_rule(tmp_path, capsys, text, needle):
+    phases = tmp_path / "phases.json"
+    phases.write_text(text)
+    for task in ("compile-diagonal", "iqp"):
+        params = {"phases_file": str(phases)}
+        cfg = write_cfg(tmp_path, {"task": task, "parameters": params})
+        assert cli.main(["validate", cfg]) == 2
+        shown = capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        for message in (shown, capsys.readouterr().err):
+            assert f"{phases}: " in message and needle in message
+        assert not out.exists() and not (tmp_path / "out.circuit").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"task": "iqp", "parameters": {"phases": [1, BIG]}}',
+        '{"task": "fig4b", "parameters": {"x": BIG}}',
+        '{"task": "gap", "parameters": {"omega": BIG}}',
+        '{"task": "gap", "parameters": {"omega": HUGE}}',
+    ],
+    ids=["iqp phases", "fig4b x", "gap omega", "5000 digits"],
+)
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, text):
+    # 400 digits overflow a float; 5000 also pass Python's 4300-digit int() limit
+    path = tmp_path / "cfg.json"
+    big, huge = "1" + "0" * 400, "1" + "0" * 5000
+    path.write_text(text.replace("BIG", big).replace("HUGE", huge))
+    out = tmp_path / "out.csv"
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid JSON: non-finite number 10000000000000000000..." in err
+        assert "0" * 100 not in err
+        assert not out.exists()
+
+
+def test_phase_lists_over_the_qubit_cap_are_config_errors(
+    tmp_path, capsys, monkeypatch
+):
+    # the cap lives in DiagonalUnitary; lowered to 3 qubits, 16 phases exceed it
+    monkeypatch.setattr(diagonal, "MAX_QUBITS", 3)
+    for task in ("compile-diagonal", "iqp"):
+        cfg = write_cfg(tmp_path, {"task": task, "parameters": {"phases": [0.5] * 16}})
+        assert cli.main(["validate", cfg]) == 2
+        assert "n=4 exceeds the 3-qubit cap" in capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 2
+        assert "n=4 exceeds the 3-qubit cap" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.circuit").exists()
 
 
 def test_iqp_explicit_phases(tmp_path):

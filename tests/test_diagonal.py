@@ -5,12 +5,15 @@ theta_b = sum_s a_s (-1)^{popcount(s & b)}, and compiled circuits against
 dense matrices column by column.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from polarq.circuits import (
     Circuit,
+    CircuitError,
     DiagonalUnitary,
     Gate,
     StateVector,
@@ -261,5 +264,21 @@ def test_circulant_walk_trivial_time():
 
 
 def test_circulant_walk_validation():
-    with pytest.raises(ValueError):
-        circulant_walk_phases([1.0, 2.0, 3.0], 1.0)
+    # a length that is not a power of two, one eigenvalue (n = 0) and a 2-D input
+    for eigenvalues in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0], [3.0, 4.0]]):
+        with pytest.raises(ValueError):
+            circulant_walk_phases(eigenvalues, 1.0)
+
+
+def test_the_qubit_cap_is_checked_before_anything_is_sized():
+    # 2^25 amplitudes or phases would take 256 MiB or more
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitError, match="n=25 exceeds the 24-qubit cap"):
+            Circuit(n=25)
+        with pytest.raises(ValueError, match="n=25 exceeds the 24-qubit cap"):
+            DiagonalUnitary(n=25, phases=np.zeros(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

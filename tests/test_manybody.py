@@ -233,11 +233,33 @@ def test_certified_dense_ground_state_needs_no_arpack(qp, eigsh_calls, monkeypat
     assert eigsh_calls == []
 
 
-def test_uncertified_dense_ground_state_runs_arpack_on_the_matrix(qp, eigsh_calls):
-    # at omega/B = 30 the couplings outweigh the diagonal spacing
-    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(6), 30.0), 6)
-    spectrum(h, 1)
-    assert len(eigsh_calls) == 1 and eigsh_calls[0] is h.matrix
+def test_uncertified_ground_state_runs_arpack_on_apply(qp, eigsh_calls, monkeypatch):
+    # at omega/B = 30 the couplings outweigh the diagonal spacing, so Davidson
+    # has no certificate and ARPACK solves, on the structured product even
+    # where the dense matrix exists
+    applied = []
+    apply = QubitHamiltonian.apply
+
+    def spy(self, v):
+        applied.append(self)
+        return apply(self, v)
+
+    monkeypatch.setattr(QubitHamiltonian, "apply", spy)
+    eps = np.finfo(float).eps
+    for n in (6, 10):
+        h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(n), 30.0), n)
+        applied.clear()
+        ground = spectrum(h, 1)
+        assert isinstance(eigsh_calls[-1], scipy.sparse.linalg.LinearOperator)
+        assert applied and all(a is h for a in applied)
+        full = spectrum(h, "all")
+        e = full.eigenvalues
+        scale = max(abs(e[0]), abs(e[-1]))
+        assert abs(ground.eigenvalues[0] - e[0]) <= 1e-12 * scale
+        tol = max(1e-10, 10 * eps * scale / (e[1] - e[0]))
+        diff = ground.eigenvectors[:, 0] - full.eigenvectors[:, 0]
+        assert np.max(np.abs(diff)) <= tol, n
+    assert len(eigsh_calls) == 2
 
 
 @pytest.mark.parametrize(
