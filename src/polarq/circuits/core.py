@@ -34,6 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .. import _blas
+
 # each gate's qubit count and whether it takes an angle
 GATES = {
     "H": (1, False),
@@ -191,7 +193,9 @@ class StateVector:
             raise ValueError(
                 f"need {1 << self.n} amplitudes for n={self.n}, got {amp.shape}"
             )
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-10:
+        with _blas.single_thread(2 * amp.size):
+            norm = np.linalg.norm(amp)
+        if abs(norm - 1.0) > 1e-10:
             raise ValueError("state vector is not normalized within 1e-10")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -426,14 +430,15 @@ def cluster_stabilizer_check(state: StateVector, edges) -> list[float]:
     amp = state.amplitudes
     psi = amp.reshape([2] * n)
     out = []
-    for a in range(n):
-        # (X_a prod_b Z_b psi)[y] = (-1)^{sum_b y_b} psi[y ^ e_a]: axis a flipped,
-        # times a +-1 parity table over the neighbor axes
-        sign = np.ones(1)
-        for _ in neighbors[a]:
-            sign = np.concatenate([sign, -sign])
-        moved = np.flip(psi, a) * _on_qubits(sign, sorted(neighbors[a]), n)
-        out.append(float(np.vdot(amp, moved).real))
+    with _blas.single_thread(2 * amp.size):
+        for a in range(n):
+            # (X_a prod_b Z_b psi)[y] = (-1)^{sum_b y_b} psi[y ^ e_a]: axis a
+            # flipped, times a +-1 parity table over the neighbor axes
+            sign = np.ones(1)
+            for _ in neighbors[a]:
+                sign = np.concatenate([sign, -sign])
+            moved = np.flip(psi, a) * _on_qubits(sign, sorted(neighbors[a]), n)
+            out.append(float(np.vdot(amp, moved).real))
     return out
 
 

@@ -9,7 +9,9 @@ Both check a config in one pass, plan_config: the schema CONFIG_SCHEMA
 rejects what it cannot resolve and every key it never reads.  Every task
 writes a CSV whose leading comment block (# key=value) records the
 resolved inputs and tool version, followed by a header row and data rows;
-identical configs give byte-identical files at a fixed BLAS thread count.
+identical configs give byte-identical files.  Up to 9 molecules that holds
+at any BLAS thread count: a BLAS call on at most 2^18 doubles runs on one
+OpenBLAS thread (polarq._blas), larger ones on the count the user set.
 Exit codes: 0 success, 2 config error or an output path that cannot be
 opened for writing (checked before any solve), 3 solver failure (partial
 rows are flushed with a FAILED sentinel row).
@@ -211,7 +213,12 @@ def _resolve_phases(params: dict, seed: int) -> tuple[DiagonalUnitary, dict]:
         try:
             raw = json.loads(text, **_finite_numbers(path))
         except json.JSONDecodeError:
-            raw = [float(line) for line in text.split()]
+            raw = []
+            for token in text.split():
+                try:
+                    raw.append(float(token))
+                except ValueError:
+                    raise ConfigError(f"{path}: {token!r} is not a number") from None
         errors = jsonschema.Draft202012Validator(_PHASES).iter_errors(raw)
         if bad := [f"{path}: {e.message}" for e in errors]:
             raise ConfigError("\n".join(bad))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .circuits.core import MAX_QUBITS
 from .lattice import PairCoupling, angular_factor
 from .pendular import QubitPair, _fix_phases
@@ -296,27 +297,34 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
             )
     elif k != "all" and not 1 <= k <= h.dim:
         raise ValueError(f"k must be in [1, {h.dim}], got {k}")
+    # each solve's operand is H, 4^n doubles whether stored or applied, so up
+    # to 9 qubits it runs on one BLAS thread; each block is entered after
+    # scipy's import, so that scipy's BLAS is steered from its first solve
     if h.matrix is not None and k == 1:
-        ground = _davidson_ground(h)
+        with _blas.single_thread(h.dim**2):
+            ground = _davidson_ground(h)
         if ground is not None:
             return ground
     if h.matrix is not None and k != 1:
         if k == "all":
-            w, v = np.linalg.eigh(h.matrix)
+            with _blas.single_thread(h.dim**2):
+                w, v = np.linalg.eigh(h.matrix)
         else:
             # scipy is imported here and before ARPACK below, not at module
             # level: scipy.linalg with scipy.sparse.linalg cost 0.27 s of the
             # 0.60 s `import polarq.cli` (2 vCPUs), and most runs call neither
             import scipy.linalg
 
-            w, v = scipy.linalg.eigh(h.matrix, subset_by_index=[0, int(k) - 1])
+            with _blas.single_thread(h.dim**2):
+                w, v = scipy.linalg.eigh(h.matrix, subset_by_index=[0, int(k) - 1])
         return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(v), dim=h.dim)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     op = LinearOperator((h.dim, h.dim), matvec=h.apply, dtype=float)
     v0 = np.full(h.dim, 1.0 / np.sqrt(h.dim))
     try:
-        w, v = eigsh(op, k=int(k), which="SA", v0=v0)
+        with _blas.single_thread(h.dim**2):
+            w, v = eigsh(op, k=int(k), which="SA", v0=v0)
     except ArpackNoConvergence as exc:
         residuals = [
             float(np.linalg.norm(h.apply(vec) - val * vec))

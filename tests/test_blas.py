@@ -1,0 +1,157 @@
+"""The BLAS thread policy: small operands run on one OpenBLAS thread.
+
+Spies placed inside the solvers read the thread count of every OpenBLAS
+loaded in the process while the solve runs.  Each test first sets those
+counts to 2, so that the policy has something to lower, and the fixture
+puts back what it found.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg  # loads scipy's OpenBLAS, so that both are steered
+import scipy.sparse.linalg
+
+import polarq
+from polarq import _blas, build_hamiltonian, linear_array, pair_couplings, spectrum
+from polarq import manybody
+from polarq.circuits import StateVector, cluster_stabilizer_check
+from polarq.manybody import QubitHamiltonian, SolverError
+
+
+@pytest.fixture
+def counts():
+    """Set every steerable OpenBLAS to 2 threads; a reader of their counts."""
+    controls = _blas.loaded_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread controls in this numpy and scipy")
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    yield lambda: [get() for get, _ in controls]
+    for (_, put), n in zip(controls, before):
+        put(n)
+
+
+def chain(qp, n, omega=1e-3):
+    return build_hamiltonian(qp(2.0), pair_couplings(linear_array(n), omega), n)
+
+
+def spy(monkeypatch, owner, name, counts, seen, raises=None):
+    """Wrap owner.name so that each call records counts() first."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(counts())
+        if raises is not None:
+            raise raises
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize(
+    "k, omega, solver",
+    [
+        (1, 1e-3, (np.linalg, "eigh")),  # Davidson's Rayleigh-Ritz step
+        ("all", 1e-3, (np.linalg, "eigh")),
+        (2, 1e-3, (scipy.linalg, "eigh")),  # evr
+        (1, 1.0, (QubitHamiltonian, "apply")),  # uncertified: ARPACK
+    ],
+    ids=["davidson", "eigh", "evr", "arpack"],
+)
+@pytest.mark.parametrize("n", [3, 9])
+def test_small_solves_run_on_one_thread(qp, counts, monkeypatch, n, k, omega, solver):
+    h = chain(qp, n, omega)
+    seen = []
+    spy(monkeypatch, *solver, counts, seen)
+    spectrum(h, k)
+    assert seen and all(c == [1] * len(c) for c in seen)
+    assert counts() == [2] * len(seen[0])
+
+
+def test_large_solves_keep_the_thread_count(qp, counts, monkeypatch):
+    h = chain(qp, 10)
+    seen = []
+    spy(monkeypatch, np.linalg, "eigh", counts, seen)
+    spectrum(h, 1)
+    assert seen and all(c == [2] * len(c) for c in seen)
+
+
+def test_solver_error_restores_the_thread_count(qp, counts, monkeypatch):
+    h = chain(qp, 5)
+    seen = []
+    no = scipy.sparse.linalg.ArpackNoConvergence("no", np.zeros(0), np.zeros((32, 0)))
+    monkeypatch.setattr(manybody, "_davidson_ground", lambda h: None)
+    spy(monkeypatch, scipy.sparse.linalg, "eigsh", counts, seen, raises=no)
+    with pytest.raises(SolverError):
+        spectrum(h, 1)
+    assert seen == [[1] * len(seen[0])]
+    assert counts() == [2] * len(seen[0])
+
+
+def test_without_thread_controls_solves_run_as_before(qp, counts, monkeypatch):
+    h = chain(qp, 9)
+    steered = spectrum(h, "all")
+    monkeypatch.setattr(_blas, "thread_controls", lambda module, suffix: None)
+    seen = []
+    spy(monkeypatch, np.linalg, "eigh", counts, seen)
+    plain = spectrum(h, "all")
+    assert seen == [[2] * len(seen[0])]
+    np.testing.assert_allclose(plain.eigenvalues, steered.eigenvalues, rtol=1e-13)
+    # the chain's mirror symmetry leaves the excited eigenvectors free to rotate
+    ground = plain.eigenvectors[:, 0], steered.eigenvectors[:, 0]
+    np.testing.assert_allclose(*ground, atol=1e-12)
+
+
+def test_state_vector_reductions_run_on_one_thread(counts, monkeypatch):
+    seen = []
+    spy(monkeypatch, np.linalg, "norm", counts, seen)
+    spy(monkeypatch, np, "vdot", counts, seen)
+    state = StateVector(3, np.full(8, 8**-0.5))
+    cluster_stabilizer_check(state, [])
+    assert len(seen) == 4  # the norm and one vdot per vertex
+    assert all(c == [1] * len(c) for c in seen)
+    assert counts() == [2] * len(seen[0])
+
+
+def test_first_evr_of_a_process_runs_on_one_thread():
+    # scipy's OpenBLAS is loaded by the solve itself, so the spy is a profile
+    # hook that reads its count when scipy.linalg.eigh is entered
+    code = (
+        "import sys\n"
+        "from polarq import _blas, build_hamiltonian, linear_array,"
+        " pair_couplings, qubit_pair, solve_pendular, spectrum\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "seen = []\n"
+        "def hook(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and code.co_name == 'eigh'"
+        " and 'scipy' in code.co_filename:\n"
+        "        seen.append([get() for get, _ in _blas.loaded_controls()])\n"
+        "before = [get() for get, _ in _blas.loaded_controls()]\n"
+        "h = build_hamiltonian(qubit_pair(solve_pendular(2.0)),"
+        " pair_couplings(linear_array(6), 1e-3), 6)\n"
+        "sys.setprofile(hook)\n"
+        "spectrum(h, 2)\n"
+        "sys.setprofile(None)\n"
+        "after = [get() for get, _ in _blas.loaded_controls()]\n"
+        "print(before, seen, after, sep='\\n')\n"
+    )
+    src = str(Path(polarq.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    before, seen, after = map(ast.literal_eval, out.stdout.splitlines())
+    if not before:
+        pytest.skip("no OpenBLAS thread controls in this numpy")
+    assert seen == [[1, 1]]  # numpy's and scipy's
+    assert after == before * 2

@@ -312,6 +312,11 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             },
             "sweep/points: 1000000000000000 is greater than the maximum of 1000000",
         ),
+        # a plain-number phases file with a token that is not a number
+        (
+            {"task": "compile-diagonal", "parameters": {"phases_file": "bad.txt"}},
+            "bad.txt: 'x' is not a number",
+        ),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -367,11 +372,13 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg49-square geometry of 25 rows",
         "cfg50-grid graph of 25 columns",
         "cfg51-sweep of more than a million points",
+        "cfg52-phases_file entry not a number",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, monkeypatch, cfg, needle):
     monkeypatch.chdir(tmp_path)  # for the relative phases_file
     (tmp_path / "huge_phases.json").write_text("[1e308, 1e308]")
+    (tmp_path / "bad.txt").write_text("1 2\n3 x")
     path = write_cfg(tmp_path, cfg)
     assert cli.main(["validate", path]) == 2
     violations = capsys.readouterr().out

@@ -9,37 +9,33 @@ compile-diagonal's `circuit_output` metadata holds no absolute path.
 
 The `#` metadata, the header, the row count and every integer, boolean or
 text cell must match exactly.  Floats are compared within tolerances,
-because the CSVs are byte-identical only for a fixed BLAS thread count:
-one OpenBLAS thread against two moves fig4a, fig4b and sweep, p by up to
-1.5e-22 absolute and gaps by 2.5e-15 relative.  The
-tolerances are those of bench/workloads.py: 1e-6 relative plus an
+because another BLAS build or CPU may round the dense solves differently.
+The tolerances are those of bench/workloads.py: 1e-6 relative plus an
 absolute floor of 1e-14 for p_* columns, 1e-9 for c_* columns and 1e-12
 otherwise.  fit-residuals' rel_error divides a fit error by p itself, so
 it gets 1e-3 relative.
 
+The BLAS thread count moves no byte: polarq runs the dense solves of
+these arrays (at most 9 molecules) on one OpenBLAS thread whatever the
+count.  test_two_blas_threads_move_no_byte checks that on the three
+goldens that two threads used to change.
+
 To record new goldens after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
-
-The goldens are recorded at one OpenBLAS thread, so that a rewrite of
-unchanged code changes no byte: run without OPENBLAS_NUM_THREADS=1, the
-script sets it and starts itself again before numpy is loaded.
 """
 
 import csv
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
-if __name__ == "__main__" and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    os.execv(sys.executable, [sys.executable, *sys.argv])
-
 import pytest
 
-from polarq import cli
+from polarq import _blas, cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -213,6 +209,28 @@ def test_output_matches_golden(name, tmp_path, monkeypatch):
         assert len(got_row) == len(want_row), f"row {r}"
         for column, g, w in zip(want_header, got_row, want_row):
             assert cell_matches(column, g, w), f"row {r} {column}: {g} != {w}"
+
+
+def test_two_blas_threads_move_no_byte(tmp_path):
+    # the goldens that two threads used to move; fig4a's evr comes first, so
+    # the first solve of the process loads scipy's OpenBLAS
+    names = ["fig4a", "fig4b", "sweep"]
+    if _blas.thread_controls(*_blas.NUMPY) is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread controls")
+    for name in names:
+        (tmp_path / f"{name}.json").write_text(json.dumps(GOLDEN[name]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+    code = (
+        "from polarq import cli\n"
+        f"for name in {names!r}:\n"
+        "    assert cli.main(['run', name + '.json', '--out', name + '.csv']) == 0\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=tmp_path)
+    for name in names:
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (GOLDEN_DIR / f"{name}.csv").read_bytes(), name
 
 
 if __name__ == "__main__":
