@@ -137,17 +137,17 @@ def pair_couplings(
     """
     if not 0 <= omega_nn < math.inf:
         raise ValueError(f"omega_nn must be finite and >= 0, got {omega_nn}")
-    pos = geom.positions
-    f = geom.field_direction
-    out: list[PairCoupling] = []
-    for i in range(geom.n_sites):
-        for j in range(i + 1, geom.n_sites):
-            r = pos[j] - pos[i]
-            d = float(np.linalg.norm(r))
-            if nearest_neighbors_only and abs(d - 1.0) > 1e-9:
-                continue
-            cos_a = min(1.0, max(-1.0, float(r @ f / d)))
-            out.append(
-                PairCoupling(i=i, j=j, omega=omega_nn / d**3, alpha=math.acos(cos_a))
-            )
-    return out
+    # one pass over all pairs i < j in row-major order; np.vecdot takes each
+    # row's dot product with BLAS ddot, as r @ f and np.linalg.norm(r) do, so
+    # every distance and cosine is bit-identical to a per-pair loop
+    i, j = np.triu_indices(geom.n_sites, 1)
+    r = geom.positions[j] - geom.positions[i]
+    d = np.sqrt(np.vecdot(r, r))
+    cos_a = np.clip(np.vecdot(r, geom.field_direction) / d, -1.0, 1.0)
+    keep = np.abs(d - 1.0) <= 1e-9 if nearest_neighbors_only else slice(None)
+    return [
+        PairCoupling(i=a, j=b, omega=omega_nn / dist**3, alpha=math.acos(c))
+        for a, b, dist, c in zip(
+            i[keep].tolist(), j[keep].tolist(), d[keep].tolist(), cos_a[keep].tolist()
+        )
+    ]

@@ -11,12 +11,16 @@ The Hamiltonian, in units of B, is
 with M = [[c0, xme], [xme, c1]] the cos(theta) matrix in the qubit pair.
 Each M_i x M_j splits into a diagonal part, xme-weighted flips of bit i and
 of bit j, and a g xme^2 flip of both.  H is kept in that form at every size
-up to the 24-qubit cap, and scattered dense too up to 14 qubits.  The ground
-state comes from a certified Davidson iteration on the dense matrix, and from
-ARPACK's Lanczos iteration on `apply` where the certificate fails or no dense
-matrix exists.  The full spectrum (`eigh`) and the lowest k >= 2 pairs (LAPACK
-evr) need the dense matrix; above 14 qubits only the lowest few pairs are
-available, from ARPACK, so thermal populations stop at 14 qubits.
+up to the 24-qubit cap; up to 14 qubits it is scattered dense on first read
+of `matrix`.  The ground state comes from a certified Davidson iteration on
+the dense matrix, and from ARPACK's Lanczos iteration on `apply` where the
+certificate fails or no dense matrix exists.  The full spectrum (`eigh`) and
+the lowest k >= 2 pairs (LAPACK evr) are dense solves up to 14 qubits.  A
+mirror-symmetric array (every chain and square array) solves them on H's two
+blocks under site reversal, built from the diagonal and the pair strengths,
+so it never scatters the dense matrix; other arrays solve the dense matrix.
+Above 14 qubits only the lowest few pairs are available, from ARPACK, so
+thermal populations stop at 14 qubits.
 
 scipy is imported only by the two solves that use it: scipy.linalg by the
 partial dense solve (k >= 2: the gap task and fig4a), scipy.sparse.linalg by
@@ -25,6 +29,7 @@ ARPACK.  Importing this module loads no part of scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -90,19 +95,15 @@ def _coupling_strengths(couplings, n: int) -> tuple[tuple[int, int, float], ...]
     return tuple(out)
 
 
-def _flip_weights(qp: QubitPair, strengths, n: int, sites: list[int]) -> np.ndarray:
+def _flip_weights(qp: QubitPair, pair_g: np.ndarray, sites: list[int]) -> np.ndarray:
     """Single-flip weights xme * sum_j g_ij c_{b_j} of the given sites, a row each.
 
     Each row is an outer sum over the bits in ascending order, about two passes
     over 2^n entries; apply asks for one site at a time, so no n x 2^n table.
     """
-    pair_g = np.zeros((n, n))
-    for i, j, g in strengths:
-        pair_g[i, j] += g
-        pair_g[j, i] += g
     terms = pair_g[sites, :, None] * qp.xme * np.array([qp.c0, qp.c1])
     w = np.zeros((len(sites), 1))
-    for j in range(n):
+    for j in range(pair_g.shape[0]):
         nxt = np.empty((len(sites), w.shape[1], 2))
         for b in range(2):  # one long loop per value of bit j
             np.add(w, terms[:, j, b, None], out=nxt[:, :, b])
@@ -116,7 +117,7 @@ class QubitHamiltonian:
 
     diag is H's diagonal and strengths the resolved (i, j, g) of each pair;
     apply forms H @ v from them at every size.  matrix is the same operator
-    scattered dense for n <= 14, and None above.
+    scattered dense on first read for n <= 14, and None above.
     """
 
     n: int
@@ -124,18 +125,42 @@ class QubitHamiltonian:
     couplings: tuple[PairCoupling, ...]
     diag: np.ndarray
     strengths: tuple[tuple[int, int, float], ...]
-    matrix: np.ndarray | None
 
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+    @functools.cached_property
+    def pair_g(self) -> np.ndarray:
+        """The n x n pair strengths g_ij, symmetric with a zero diagonal."""
+        g = np.zeros((self.n, self.n))
+        for i, j, s in self.strengths:
+            g[i, j] += s
+            g[j, i] += s
+        return g
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray | None:
+        """H as a dense 2^n x 2^n array for n <= 14, else None; built once."""
+        if self.n > DENSE_LIMIT:
+            return None
+        # flat holds (r, c) at (r << n) + c; flipping molecule k in r flips bit top - k
+        cols, top = np.arange(self.dim), 2 * self.n - 1
+        h = np.zeros((self.dim, self.dim))
+        flat, at = h.reshape(-1), cols * (self.dim + 1)  # the diagonal (c, c)
+        for i, j, g in self.strengths:
+            flat[at ^ (1 << (top - i)) ^ (1 << (top - j))] += g * self.qp.xme**2
+        for i, w in enumerate(_flip_weights(self.qp, self.pair_g, list(range(self.n)))):
+            flat[at ^ (1 << (top - i))] += w
+        flat[at] = self.diag
+        return h
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """H @ v without materializing H; a flip of bit i reverses axis i."""
         t = v.reshape([2] * self.n)
         out = self.diag.reshape(t.shape) * t
         for i in range(self.n):
-            w = _flip_weights(self.qp, self.strengths, self.n, [i])
+            w = _flip_weights(self.qp, self.pair_g, [i])
             out += w.reshape(t.shape) * np.flip(t, i)
         for i, j, g in self.strengths:
             out += g * self.qp.xme**2 * np.flip(t, (i, j))
@@ -145,7 +170,7 @@ class QubitHamiltonian:
 def build_hamiltonian(
     qp: QubitPair, couplings: list[PairCoupling], n: int
 ) -> QubitHamiltonian:
-    """Assemble the 2^n qubit-basis Hamiltonian; dense too up to 14 molecules.
+    """Assemble the 2^n qubit-basis Hamiltonian: its diagonal and pair strengths.
 
     Args:
         qp: single-molecule energies and cos(theta) matrix elements.
@@ -161,22 +186,11 @@ def build_hamiltonian(
     # M_i x M_j's diagonal part g c_{b_i} c_{b_j}, with c_{b_i} along axis i
     m_diag = np.array([qp.c0, qp.c1])
     site_diag = [m_diag.reshape([-1] + [1] * (n - 1 - i)) for i in range(n)]
-    cols = np.arange(1 << n)
-    diag = n * qp.w0 + (qp.w1 - qp.w0) * np.bitwise_count(cols)
+    diag = n * qp.w0 + (qp.w1 - qp.w0) * np.bitwise_count(np.arange(1 << n))
     grid = diag.reshape([2] * n)
     for i, j, g in strengths:
         grid += g * site_diag[i] * site_diag[j]
-    h = None
-    if n <= DENSE_LIMIT:
-        # flat holds (r, c) at (r << n) + c; flipping molecule k in r flips bit top - k
-        h, top = np.zeros((cols.size, cols.size)), 2 * n - 1
-        flat, at = h.reshape(-1), cols * (cols.size + 1)  # the diagonal (c, c)
-        for i, j, g in strengths:
-            flat[at ^ (1 << (top - i)) ^ (1 << (top - j))] += g * qp.xme**2
-        for i, w in enumerate(_flip_weights(qp, strengths, n, list(range(n)))):
-            flat[at ^ (1 << (top - i))] += w
-        flat[at] = diag
-    return QubitHamiltonian(n, qp, tuple(couplings), diag, strengths, h)
+    return QubitHamiltonian(n, qp, tuple(couplings), diag, strengths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,6 +265,104 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
     return None
 
 
+def _lowest_pairs(matrices: list[np.ndarray], k: int | str) -> list[tuple]:
+    """(eigenvalues, eigenvectors) of each symmetric matrix: all, or the lowest k.
+
+    All levels come from a full `eigh`, the lowest k (all of a matrix smaller
+    than k) from a partial dense solve, LAPACK evr.  The solves share one
+    thread-count block sized by the largest matrix, entered after scipy's
+    import, so that scipy's BLAS is steered from its first solve.
+    """
+    if k != "all":
+        # scipy is imported here and before ARPACK, not at module level:
+        # scipy.linalg with scipy.sparse.linalg cost 0.27 s of the 0.60 s
+        # `import polarq.cli` (2 vCPUs), and most runs call neither
+        import scipy.linalg
+    with _blas.single_thread(max(len(a) for a in matrices) ** 2):
+        if k == "all":
+            return [np.linalg.eigh(a) for a in matrices]
+        return [
+            scipy.linalg.eigh(a, subset_by_index=[0, min(int(k), len(a)) - 1])
+            for a in matrices
+        ]
+
+
+@functools.cache
+def _reflection_sectors(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The symmetric and antisymmetric bases of n sites under site reversal.
+
+    Reversal maps basis state b to rev(b), its n bits reversed.  Each orbit
+    {b, rev(b)} is represented by its lower member.  Per sector (+1, then -1),
+    reps lists the representatives that span the block in ascending order
+    (palindromes b = rev(b) only in the symmetric one), row[x] is the block
+    index of x's representative, and coef[x] is x's amplitude in that basis
+    vector: 1 for a palindrome, 1/sqrt(2) for the lower member of a pair and
+    +-1/sqrt(2) for the upper one.  A palindrome has no antisymmetric vector:
+    its coef there is 0 and its row 0.
+    """
+    b = np.arange(1 << n)
+    rev = np.zeros_like(b)
+    for i in range(n):
+        rev |= ((b >> i) & 1) << (n - 1 - i)
+    palindrome, upper = b == rev, b > rev
+    sectors = []
+    for sign in (1.0, -1.0):
+        reps = np.flatnonzero(b <= rev if sign > 0 else b < rev)
+        row = np.searchsorted(reps, np.minimum(b, rev))
+        coef = np.where(palindrome, 1.0, math.sqrt(0.5))
+        coef[upper] *= sign
+        if sign < 0:
+            row[palindrome], coef[palindrome] = 0, 0.0
+        for table in (reps, row, coef):
+            table.flags.writeable = False  # shared by every caller through the cache
+        sectors.append((reps, row, coef))
+    return tuple(sectors)
+
+
+def _reflection_block(
+    h: QubitHamiltonian, flips: np.ndarray, reps: np.ndarray, row: np.ndarray,
+    coef: np.ndarray,
+) -> np.ndarray:
+    """H in one reflection sector, from H's columns at the representatives.
+
+    Column c of H holds the diagonal, n single flips and one double flip per
+    pair.  Since H commutes with reversal, the block element between the
+    basis vectors of representatives a and c is sum_x coef[x] H[x, c] /
+    coef[c] over the orbit of a, so one bincount over those
+    (1 + n + pairs) entries per column builds the block.
+    """
+    n, m = h.n, reps.size
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    masks = np.array([0] + bit + [bit[i] | bit[j] for i, j, _ in h.strengths])
+    double = np.array([g for _, _, g in h.strengths]) * h.qp.xme**2
+    doubles = np.broadcast_to(double[:, None], (double.size, m))
+    values = np.concatenate([h.diag[None, reps], flips[:, reps], doubles])
+    x = reps ^ masks[:, None]
+    weights = values * (coef[x] / coef[reps])
+    bins = row[x] * m + np.arange(m)
+    return np.bincount(bins.ravel(), weights.ravel(), minlength=m * m).reshape(m, m)
+
+
+def _reflection_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
+    """The lowest k pairs of a reversal-symmetric h, or all, from its two blocks.
+
+    Each block is solved like the whole H (eigh for all levels, evr for the
+    lowest k of each), the levels are merged and each eigenvector is mapped
+    back to the 2^n basis through its sector's coefficients.
+    """
+    sectors = [s for s in _reflection_sectors(h.n) if s[0].size]
+    flips = _flip_weights(h.qp, h.pair_g, list(range(h.n)))
+    solved = _lowest_pairs([_reflection_block(h, flips, *s) for s in sectors], k)
+    levels = np.concatenate([w for w, _ in solved])
+    order = np.argsort(levels, kind="stable")[: h.dim if k == "all" else int(k)]
+    vectors, start = np.empty((h.dim, order.size)), 0
+    for (w, v), (_, row, coef) in zip(solved, sectors):
+        mine = (order >= start) & (order < start + w.size)
+        vectors[:, mine] = v[:, order[mine] - start][row] * coef[:, None]
+        start += w.size
+    return Spectrum(levels[order], _fix_phases(vectors), h.dim)
+
+
 def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     """Lowest k eigenpairs of h, or all of them.
 
@@ -267,8 +379,16 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     superposition.  Davidson above 14 qubits would move the counts of the
     benchmark's `chain_ground` workload, so it waits for that benchmark.
 
-    k = "all" is a full dense `eigh` and needs n <= 14.  An integer k >= 2 is
-    a partial dense solve (LAPACK evr) up to 14 qubits and ARPACK above.
+    k = "all" is a dense `eigh` and needs n <= 14.  An integer k >= 2 is a
+    partial dense solve (LAPACK evr) up to 14 qubits and ARPACK above.  Where
+    the pair strengths are unchanged by reversing the site order (g_ij =
+    g_{n-1-i, n-1-j} bit for bit; every chain and every row-major square
+    array, whatever the field direction, since reversal maps r_ij to -r_ij),
+    H commutes with that reversal.  Both dense solves then run on its
+    symmetric and antisymmetric blocks of (2^n +- 2^ceil(n/2))/2 states,
+    built from `diag` and the pair strengths without the dense matrix: about
+    a quarter of the work of one solve of the whole H (`_reflection_spectrum`).
+    Other arrays, such as most custom geometries, solve the dense matrix.
     When the Krylov space closes early (a short symmetric chain, or
     Omega = 0, which makes H diagonal), ARPACK continues from a random vector
     drawn from one generator per process.  The ground state already lies in
@@ -285,7 +405,8 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     """
     if k != "all" and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
         raise ValueError(f'k must be "all" or an integer, got {k!r}')
-    if h.matrix is None:
+    dense = h.n <= DENSE_LIMIT
+    if not dense:
         if k == "all":
             raise InsufficientSpectrumError(
                 f"full spectrum unavailable for n={h.n} > {DENSE_LIMIT}; pass a small k"
@@ -297,26 +418,18 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
             )
     elif k != "all" and not 1 <= k <= h.dim:
         raise ValueError(f"k must be in [1, {h.dim}], got {k}")
-    # each solve's operand is H, 4^n doubles whether stored or applied, so up
-    # to 9 qubits it runs on one BLAS thread; each block is entered after
-    # scipy's import, so that scipy's BLAS is steered from its first solve
-    if h.matrix is not None and k == 1:
+    # each solve's operand is H (or a reflection block of it), 4^n doubles
+    # whether stored or applied, so up to 9 qubits it runs on one BLAS thread
+    if dense and k == 1:
         with _blas.single_thread(h.dim**2):
             ground = _davidson_ground(h)
         if ground is not None:
             return ground
-    if h.matrix is not None and k != 1:
-        if k == "all":
-            with _blas.single_thread(h.dim**2):
-                w, v = np.linalg.eigh(h.matrix)
-        else:
-            # scipy is imported here and before ARPACK below, not at module
-            # level: scipy.linalg with scipy.sparse.linalg cost 0.27 s of the
-            # 0.60 s `import polarq.cli` (2 vCPUs), and most runs call neither
-            import scipy.linalg
-
-            with _blas.single_thread(h.dim**2):
-                w, v = scipy.linalg.eigh(h.matrix, subset_by_index=[0, int(k) - 1])
+    if dense and k != 1:
+        # reversal maps each r_ij to -r_ij, which leaves g_ij unchanged
+        if np.array_equal(h.pair_g, h.pair_g[::-1, ::-1]):
+            return _reflection_spectrum(h, k)
+        [(w, v)] = _lowest_pairs([h.matrix], k)
         return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(v), dim=h.dim)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 

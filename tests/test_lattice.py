@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polarq import (
     DegenerateGeometryError,
+    PairCoupling,
     angular_factor,
     custom_array,
     linear_array,
@@ -74,6 +75,35 @@ def test_nearest_neighbors_only_switch():
     assert [(c.i, c.j) for c in coups] == [(0, 1), (1, 2), (2, 3)]
     coups = pair_couplings(square_array(2, 2), 1.0, nearest_neighbors_only=True)
     assert [(c.i, c.j) for c in coups] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+
+def loop_couplings(geom, omega_nn, nearest_neighbors_only=False):
+    """The per-pair loop that pair_couplings vectorises, as its reference."""
+    pos, f = geom.positions, geom.field_direction
+    out = []
+    for i in range(geom.n_sites):
+        for j in range(i + 1, geom.n_sites):
+            r = pos[j] - pos[i]
+            d = float(np.linalg.norm(r))
+            if nearest_neighbors_only and abs(d - 1.0) > 1e-9:
+                continue
+            cos_a = min(1.0, max(-1.0, float(r @ f / d)))
+            out.append(PairCoupling(i, j, omega_nn / d**3, math.acos(cos_a)))
+    return out
+
+
+def test_pair_couplings_equal_the_per_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    fields = [(0, 0, 1), (1, 0, 0), (1, 1, 1), (0.3, -0.7, 0.2)]
+    geoms = [linear_array(n, f) for n in (1, 2, 5, 9) for f in fields]
+    geoms += [square_array(r, c, f) for r, c in ((2, 3), (3, 3)) for f in fields]
+    geoms += [
+        custom_array(np.cumsum(rng.uniform(0.5, 1.5, (n, 3)), axis=0), rng.normal(size=3))
+        for n in (2, 4, 7)
+    ]
+    for geom in geoms:
+        for omega, nn in ((1e-3, False), (0.37, False), (1.0, True)):
+            assert pair_couplings(geom, omega, nn) == loop_couplings(geom, omega, nn)
 
 
 def test_degenerate_and_invalid_inputs():

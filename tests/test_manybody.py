@@ -7,7 +7,6 @@ dense matrix on random vectors.  Above the dense limit, where no dense
 reference exists, the ground state is checked against perturbation theory.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -133,11 +132,12 @@ def test_spectrum_residuals_and_phase(chain_spectrum, qp):
         assert v[np.argmax(np.abs(v))] > 0
 
 
-def test_dense_and_iterative_modes_agree(qp):
+def test_dense_and_iterative_modes_agree(qp, monkeypatch):
     q = qp(2.0)
     h = build_hamiltonian(q, pair_couplings(linear_array(9), 1e-3), 9)
     dense = spectrum(h, 2)
-    iterative = spectrum(dataclasses.replace(h, matrix=None), 2)
+    monkeypatch.setattr(manybody, "DENSE_LIMIT", 8)  # n = 9 is now matrix-free
+    iterative = spectrum(h, 2)
     assert np.allclose(dense.eigenvalues, iterative.eigenvalues, atol=1e-9)
     for k in range(2):
         overlap = abs(dense.eigenvectors[:, k] @ iterative.eigenvectors[:, k])
@@ -156,6 +156,81 @@ def test_partial_dense_spectrum_matches_full(qp, chain_spectrum, n):
         )
         assert np.max(np.abs(part.eigenvectors[:, 0] - full.eigenvectors[:, 0])) < 1e-10
 
+
+
+MIRROR_ARRAYS = [(linear_array(n), f"chain{n}") for n in range(1, 11)] + [
+    (square_array(2, 3), "square2x3"),
+    (square_array(3, 3), "square3x3"),
+    (linear_array(7, (1.0, 0.4, 0.3)), "chain7-tilted"),
+    (square_array(3, 3, (0.6, -0.2, 0.5)), "square3x3-tilted"),
+]
+
+
+def assert_matches_dense(h, spec, reference):
+    """spec against eigh of the whole, unsymmetrised H: levels, residuals, basis."""
+    scale = np.max(np.abs(reference))
+    count = len(spec.eigenvalues)
+    assert np.max(np.abs(spec.eigenvalues - reference[:count])) <= 1e-13 * scale
+    v = spec.eigenvectors
+    assert v.shape == (h.dim, count)
+    assert np.max(np.abs(h.matrix @ v - v * spec.eigenvalues)) <= 1e-12 * scale
+    assert np.max(np.abs(v.T @ v - np.eye(count))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "geom", [g for g, _ in MIRROR_ARRAYS], ids=[i for _, i in MIRROR_ARRAYS]
+)
+def test_mirror_symmetric_arrays_solve_in_reflection_blocks(qp, geom, monkeypatch):
+    blocks = []
+    real = manybody._reflection_spectrum
+    monkeypatch.setattr(
+        manybody, "_reflection_spectrum", lambda h, k: blocks.append(k) or real(h, k)
+    )
+    n = geom.n_sites
+    for omega in (0.0, 1e-4, 0.04, 1.0):
+        h = build_hamiltonian(qp(2.0), pair_couplings(geom, omega), n)
+        ks = [k for k in (2, 3) if k <= h.dim] + ["all"]
+        spectra = [spectrum(h, k) for k in ks]
+        # the blocks are built from diag and the pair strengths alone
+        assert "matrix" not in vars(h)
+        reference = np.linalg.eigh(h.matrix)[0]
+        for spec in spectra:
+            assert_matches_dense(h, spec, reference)
+        assert spectra[-1].complete
+    assert len(blocks) == 4 * len(ks)
+
+
+def test_arrays_without_mirror_symmetry_solve_the_dense_matrix(qp, monkeypatch):
+    geom = custom_array([[0, 0, 0], [1, 0, 0], [2.5, 0, 0], [2.5, 1.2, 0]])
+    h = build_hamiltonian(qp(2.0), pair_couplings(geom, 0.04), 4)
+    assert not np.array_equal(h.pair_g, h.pair_g[::-1, ::-1])
+    solved = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or real(a))
+    monkeypatch.setattr(manybody, "_reflection_spectrum", None)  # any call fails
+    spec = spectrum(h, "all")
+    assert solved == [(16, 16)]
+    assert_matches_dense(h, spec, real(h.matrix)[0])
+
+
+def test_a_wrong_antisymmetric_sign_breaks_the_blocks(qp, monkeypatch):
+    # the blocks are checked against dense eigh; a sector table whose
+    # antisymmetric vectors lost their sign must fail that check
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(5), 0.04), 5)
+    reference = np.linalg.eigh(h.matrix)[0]
+    assert_matches_dense(h, spectrum(h, "all"), reference)
+    symmetric, (reps, row, coef) = manybody._reflection_sectors(5)
+    wrong = (symmetric, (reps, row, np.abs(coef)))
+    monkeypatch.setattr(manybody, "_reflection_sectors", lambda n: wrong)
+    with pytest.raises(AssertionError):
+        assert_matches_dense(h, spectrum(h, "all"), reference)
+
+
+def test_dense_matrix_is_built_on_first_read_only(qp):
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(4), 1e-3), 4)
+    assert "matrix" not in vars(h)
+    assert h.matrix is h.matrix
+    assert build_hamiltonian(qp(2.0), [], DENSE_LIMIT + 1).matrix is None
 
 
 @pytest.fixture
@@ -265,11 +340,12 @@ def test_uncertified_ground_state_runs_arpack_on_apply(qp, eigsh_calls, monkeypa
 @pytest.mark.parametrize(
     "k", [2.7, True, "3", None], ids=["float", "bool", "str", "None"]
 )
-def test_spectrum_rejects_a_k_that_is_not_all_or_an_integer(qp, k):
+def test_spectrum_rejects_a_k_that_is_not_all_or_an_integer(qp, k, monkeypatch):
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(3), 1e-3), 3)
-    for mode in (h, dataclasses.replace(h, matrix=None)):
+    for limit in (DENSE_LIMIT, 2):  # dense, then matrix-free at n = 3
+        monkeypatch.setattr(manybody, "DENSE_LIMIT", limit)
         with pytest.raises(ValueError, match="integer"):
-            spectrum(mode, k)
+            spectrum(h, k)
 
 
 @pytest.mark.parametrize("k", [0, 2**15])
