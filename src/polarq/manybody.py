@@ -334,9 +334,9 @@ def _reflection_block(
     n, m = h.n, reps.size
     bit = [1 << (n - 1 - i) for i in range(n)]
     masks = np.array([0] + bit + [bit[i] | bit[j] for i, j, _ in h.strengths])
-    double = np.array([g for _, _, g in h.strengths]) * h.qp.xme**2
-    doubles = np.broadcast_to(double[:, None], (double.size, m))
-    values = np.concatenate([h.diag[None, reps], flips[:, reps], doubles])
+    pair_flip = np.array([g for _, _, g in h.strengths]) * h.qp.xme**2
+    pair_rows = np.broadcast_to(pair_flip[:, None], (pair_flip.size, m))
+    values = np.concatenate([h.diag[None, reps], flips[:, reps], pair_rows])
     x = reps ^ masks[:, None]
     weights = values * (coef[x] / coef[reps])
     bins = row[x] * m + np.arange(m)
