@@ -157,7 +157,6 @@ def test_partial_dense_spectrum_matches_full(qp, chain_spectrum, n):
         assert np.max(np.abs(part.eigenvectors[:, 0] - full.eigenvectors[:, 0])) < 1e-10
 
 
-
 MIRROR_ARRAYS = [(linear_array(n), f"chain{n}") for n in range(1, 11)] + [
     (square_array(2, 3), "square2x3"),
     (square_array(3, 3), "square3x3"),
@@ -230,7 +229,6 @@ def test_dense_matrix_is_built_on_first_read_only(qp):
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(4), 1e-3), 4)
     assert "matrix" not in vars(h)
     assert h.matrix is h.matrix
-    assert build_hamiltonian(qp(2.0), [], DENSE_LIMIT + 1).matrix is None
 
 
 @pytest.fixture
