@@ -11,14 +11,14 @@ The Hamiltonian, in units of B, is
 with M = [[c0, xme], [xme, c1]] the cos(theta) matrix in the qubit pair.
 Each M_i x M_j splits into a diagonal part, xme-weighted flips of bit i and
 of bit j, and a g xme^2 flip of both.  H is kept in that form at every size
-up to the 24-qubit cap; up to 14 qubits it is scattered dense on first read
-of `matrix`.  The ground state comes from a certified Davidson iteration on
-the dense matrix, and from ARPACK's Lanczos iteration on `apply` where the
-certificate fails or no dense matrix exists.  The full spectrum (`eigh`) and
-the lowest k >= 2 pairs (LAPACK evr) are dense solves up to 14 qubits.  A
-mirror-symmetric array (every chain and square array) solves them on H's two
-blocks under site reversal, built from the diagonal and the pair strengths,
-so it never scatters the dense matrix; other arrays solve the dense matrix.
+up to the 24-qubit cap.  Up to 14 qubits one builder, `_sector_block`, turns
+those parts into a dense block of H in a symmetry sector: the whole basis
+is the identity sector, whose block is `matrix`, and a mirror-symmetric
+array (every chain and square array) has two sectors under site reversal.
+The ground state comes from a certified Davidson iteration on `matrix`, and
+from ARPACK's Lanczos iteration on `apply` where the certificate fails or
+no dense matrix exists.  The full spectrum (`eigh`) and the lowest k >= 2
+pairs (LAPACK evr) are dense solves of the sector blocks up to 14 qubits.
 Above 14 qubits only the lowest few pairs are available, from ARPACK, so
 thermal populations stop at 14 qubits.
 
@@ -117,7 +117,8 @@ class QubitHamiltonian:
 
     diag is H's diagonal and strengths the resolved (i, j, g) of each pair;
     apply forms H @ v from them at every size.  matrix is the same operator
-    scattered dense on first read for n <= 14, and None above.
+    as a dense array, the identity sector's `_sector_block`, built on first
+    read for n <= 14, and None above.
     """
 
     n: int
@@ -144,16 +145,8 @@ class QubitHamiltonian:
         """H as a dense 2^n x 2^n array for n <= 14, else None; built once."""
         if self.n > DENSE_LIMIT:
             return None
-        # flat holds (r, c) at (r << n) + c; flipping molecule k in r flips bit top - k
-        cols, top = np.arange(self.dim), 2 * self.n - 1
-        h = np.zeros((self.dim, self.dim))
-        flat, at = h.reshape(-1), cols * (self.dim + 1)  # the diagonal (c, c)
-        for i, j, g in self.strengths:
-            flat[at ^ (1 << (top - i)) ^ (1 << (top - j))] += g * self.qp.xme**2
-        for i, w in enumerate(_flip_weights(self.qp, self.pair_g, list(range(self.n)))):
-            flat[at ^ (1 << (top - i))] += w
-        flat[at] = self.diag
-        return h
+        flips = _flip_weights(self.qp, self.pair_g, list(range(self.n)))
+        return _sector_block(self, flips, *_identity_sector(self.n))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """H @ v without materializing H; a flip of bit i reverses axis i."""
@@ -265,26 +258,12 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
     return None
 
 
-def _lowest_pairs(matrices: list[np.ndarray], k: int | str) -> list[tuple]:
-    """(eigenvalues, eigenvectors) of each symmetric matrix: all, or the lowest k.
-
-    All levels come from a full `eigh`, the lowest k (all of a matrix smaller
-    than k) from a partial dense solve, LAPACK evr.  The solves share one
-    thread-count block sized by the largest matrix, entered after scipy's
-    import, so that scipy's BLAS is steered from its first solve.
-    """
-    if k != "all":
-        # scipy is imported here and before ARPACK, not at module level:
-        # scipy.linalg with scipy.sparse.linalg cost 0.27 s of the 0.60 s
-        # `import polarq.cli` (2 vCPUs), and most runs call neither
-        import scipy.linalg
-    with _blas.single_thread(max(len(a) for a in matrices) ** 2):
-        if k == "all":
-            return [np.linalg.eigh(a) for a in matrices]
-        return [
-            scipy.linalg.eigh(a, subset_by_index=[0, min(int(k), len(a)) - 1])
-            for a in matrices
-        ]
+@functools.cache
+def _identity_sector(n: int) -> tuple[np.ndarray, ...]:
+    """The whole 2^n basis as one sector: (reps, row, coef) = (b, b, 1)."""
+    b, coef = np.arange(1 << n), np.ones(1 << n)
+    b.flags.writeable = coef.flags.writeable = False  # shared through the cache
+    return b, b, coef
 
 
 @functools.cache
@@ -319,17 +298,19 @@ def _reflection_sectors(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(sectors)
 
 
-def _reflection_block(
+def _sector_block(
     h: QubitHamiltonian, flips: np.ndarray, reps: np.ndarray, row: np.ndarray,
     coef: np.ndarray,
 ) -> np.ndarray:
-    """H in one reflection sector, from H's columns at the representatives.
+    """H in one symmetry sector, from H's columns at the representatives.
 
-    Column c of H holds the diagonal, n single flips and one double flip per
-    pair.  Since H commutes with reversal, the block element between the
-    basis vectors of representatives a and c is sum_x coef[x] H[x, c] /
-    coef[c] over the orbit of a, so one bincount over those
-    (1 + n + pairs) entries per column builds the block.
+    The only dense builder: `matrix` is the identity sector's block.  Column
+    c of H holds the diagonal, n single flips and one double flip per pair.
+    Since H commutes with the sector's symmetry, the block element between
+    the basis vectors of representatives a and c is sum_x coef[x] H[x, c] /
+    coef[c] over the orbit of a, so one bincount over those (1 + n + pairs)
+    entries per column builds the block.  In the identity sector each entry
+    lands alone in its bin, times 1.0, so the block is H bit for bit.
     """
     n, m = h.n, reps.size
     bit = [1 << (n - 1 - i) for i in range(n)]
@@ -343,16 +324,36 @@ def _reflection_block(
     return np.bincount(bins.ravel(), weights.ravel(), minlength=m * m).reshape(m, m)
 
 
-def _reflection_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
-    """The lowest k pairs of a reversal-symmetric h, or all, from its two blocks.
+def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
+    """The lowest k pairs of a dense h, or all, solved sector by sector.
 
-    Each block is solved like the whole H (eigh for all levels, evr for the
-    lowest k of each), the levels are merged and each eigenvector is mapped
-    back to the 2^n basis through its sector's coefficients.
+    h takes its two reversal sectors when pair_g equals its reverse on both
+    axes bit for bit (reversal maps each r_ij to -r_ij, which leaves g_ij
+    unchanged), and the one identity sector otherwise.  Each block is built
+    just before its solve, so no two are held at once: `eigh` for all levels,
+    LAPACK evr for the lowest k (all of a block smaller than k).  The levels
+    are merged and each eigenvector is mapped back to the 2^n basis through
+    its sector's coefficients.  The solves share one thread-count block,
+    entered after scipy's import so that it steers scipy's BLAS too.
     """
-    sectors = [s for s in _reflection_sectors(h.n) if s[0].size]
+    if np.array_equal(h.pair_g, h.pair_g[::-1, ::-1]):
+        sectors = [s for s in _reflection_sectors(h.n) if s[0].size]
+    else:
+        sectors = [_identity_sector(h.n)]
+    if k == "all":
+        solve = np.linalg.eigh
+    else:
+        # scipy is imported here and before ARPACK, not at module level:
+        # scipy.linalg with scipy.sparse.linalg cost 0.27 s of the 0.60 s
+        # `import polarq.cli` (2 vCPUs), and most runs call neither
+        import scipy.linalg
+
+        def solve(a):
+            return scipy.linalg.eigh(a, subset_by_index=[0, min(int(k), len(a)) - 1])
+
     flips = _flip_weights(h.qp, h.pair_g, list(range(h.n)))
-    solved = _lowest_pairs([_reflection_block(h, flips, *s) for s in sectors], k)
+    with _blas.single_thread(max(s[0].size for s in sectors) ** 2):
+        solved = [solve(_sector_block(h, flips, *s)) for s in sectors]
     levels = np.concatenate([w for w, _ in solved])
     order = np.argsort(levels, kind="stable")[: h.dim if k == "all" else int(k)]
     vectors, start = np.empty((h.dim, order.size)), 0
@@ -385,10 +386,11 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     g_{n-1-i, n-1-j} bit for bit; every chain and every row-major square
     array, whatever the field direction, since reversal maps r_ij to -r_ij),
     H commutes with that reversal.  Both dense solves then run on its
-    symmetric and antisymmetric blocks of (2^n +- 2^ceil(n/2))/2 states,
-    built from `diag` and the pair strengths without the dense matrix: about
-    a quarter of the work of one solve of the whole H (`_reflection_spectrum`).
-    Other arrays, such as most custom geometries, solve the dense matrix.
+    symmetric and antisymmetric blocks of (2^n +- 2^ceil(n/2))/2 states:
+    about a quarter of the work of one solve of the whole H.  Other arrays,
+    such as most custom geometries, solve the one block of the identity
+    sector, which is H itself.  Every block comes from the same builder,
+    from `diag` and the pair strengths (`_sector_spectrum`).
     When the Krylov space closes early (a short symmetric chain, or
     Omega = 0, which makes H diagonal), ARPACK continues from a random vector
     drawn from one generator per process.  The ground state already lies in
@@ -418,7 +420,7 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
             )
     elif k != "all" and not 1 <= k <= h.dim:
         raise ValueError(f"k must be in [1, {h.dim}], got {k}")
-    # each solve's operand is H (or a reflection block of it), 4^n doubles
+    # each solve's operand is H (or a sector block of it), 4^n doubles
     # whether stored or applied, so up to 9 qubits it runs on one BLAS thread
     if dense and k == 1:
         with _blas.single_thread(h.dim**2):
@@ -426,11 +428,7 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
         if ground is not None:
             return ground
     if dense and k != 1:
-        # reversal maps each r_ij to -r_ij, which leaves g_ij unchanged
-        if np.array_equal(h.pair_g, h.pair_g[::-1, ::-1]):
-            return _reflection_spectrum(h, k)
-        [(w, v)] = _lowest_pairs([h.matrix], k)
-        return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(v), dim=h.dim)
+        return _sector_spectrum(h, k)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     op = LinearOperator((h.dim, h.dim), matvec=h.apply, dtype=float)

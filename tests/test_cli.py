@@ -964,11 +964,14 @@ def test_declared_entry_point_runs():
         scripts = tomllib.load(f)["project"]["scripts"]
     module, _, attr = scripts["polarq"].partition(":")
     code = f"import sys, {module}; sys.exit({module}.{attr}())"
+    src = str(Path(polarq.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", code, "--version"],
         capture_output=True,
         text=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout.strip() == f"polarq {polarq.__version__}"
 

@@ -1,7 +1,8 @@
 """Many-body Hamiltonian assembly and derived quantities.
 
 Oracle strategy: the bit-arithmetic construction is checked entry-by-entry
-against a literal Kronecker-product build, the n=2 ground energy against a
+against a literal Kronecker-product build and byte for byte against a flat
+scatter of the same terms, the n=2 ground energy against a
 40-digit mpmath eigensolve, and the structured product `apply` against the
 dense matrix on random vectors.  Above the dense limit, where no dense
 reference exists, the ground state is checked against perturbation theory.
@@ -13,6 +14,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from polarq import (
 )
 from polarq import manybody
 from polarq.lattice import ArrayGeometry, PairCoupling, angular_factor
+from polarq.pendular import _fix_phases
 from polarq.manybody import (
     DENSE_LIMIT,
     InsufficientSpectrumError,
@@ -62,6 +65,25 @@ def kron_oracle(qp, couplings, n):
         g = c.omega * angular_factor(c.alpha)
         h += g * embed({c.i: m, c.j: m})
     return h
+
+
+def scatter_reference(h):
+    """H scattered term by term through a flat view of a zero matrix.
+
+    An independent dense build from the same diagonal, flip weights and pair
+    double flips.  The goldens rest on the dense bits, so `matrix` must equal
+    this byte for byte, not only within a tolerance.
+    """
+    # flat holds (r, c) at (r << n) + c; flipping molecule k in r flips bit top - k
+    cols, top = np.arange(h.dim), 2 * h.n - 1
+    dense = np.zeros((h.dim, h.dim))
+    flat, at = dense.reshape(-1), cols * (h.dim + 1)  # the diagonal (c, c)
+    for i, j, g in h.strengths:
+        flat[at ^ (1 << (top - i)) ^ (1 << (top - j))] += g * h.qp.xme**2
+    for i, w in enumerate(manybody._flip_weights(h.qp, h.pair_g, list(range(h.n)))):
+        flat[at ^ (1 << (top - i))] += w
+    flat[at] = h.diag
+    return dense
 
 
 def test_single_molecule_diagonal(qp):
@@ -165,6 +187,30 @@ MIRROR_ARRAYS = [(linear_array(n), f"chain{n}") for n in range(1, 11)] + [
 ]
 
 
+NON_MIRROR_ARRAYS = [
+    (custom_array([[0, 0, 0], [1, 0, 0], [2.5, 0, 0], [2.5, 1.2, 0]]), "custom4"),
+    (
+        custom_array(
+            [[0, 0, 0], [1, 0, 0], [2.5, 0, 0], [2.5, 1.2, 0], [0.3, 2.0, 0],
+             [1.7, 2.9, 0], [3.1, 0.4, 0]],
+            (0.3, -0.5, 0.8),
+        ),
+        "custom7-tilted",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [g for g, _ in MIRROR_ARRAYS + NON_MIRROR_ARRAYS],
+    ids=[i for _, i in MIRROR_ARRAYS + NON_MIRROR_ARRAYS],
+)
+def test_matrix_equals_the_scatter_reference_byte_for_byte(qp, geom):
+    for x, omega in itertools.product((0.5, 2.0), (0.0, 1e-4, 0.3, 30.0)):
+        h = build_hamiltonian(qp(x), pair_couplings(geom, omega), geom.n_sites)
+        assert h.matrix.tobytes() == scatter_reference(h).tobytes(), (x, omega)
+
+
 def assert_matches_dense(h, spec, reference):
     """spec against eigh of the whole, unsymmetrised H: levels, residuals, basis."""
     scale = np.max(np.abs(reference))
@@ -180,36 +226,54 @@ def assert_matches_dense(h, spec, reference):
     "geom", [g for g, _ in MIRROR_ARRAYS], ids=[i for _, i in MIRROR_ARRAYS]
 )
 def test_mirror_symmetric_arrays_solve_in_reflection_blocks(qp, geom, monkeypatch):
-    blocks = []
-    real = manybody._reflection_spectrum
+    solves, sizes = [], []
+    real_spectrum, real_block = manybody._sector_spectrum, manybody._sector_block
     monkeypatch.setattr(
-        manybody, "_reflection_spectrum", lambda h, k: blocks.append(k) or real(h, k)
+        manybody, "_sector_spectrum", lambda h, k: solves.append(k) or real_spectrum(h, k)
+    )
+    monkeypatch.setattr(
+        manybody,
+        "_sector_block",
+        lambda h, flips, *s: sizes.append(s[0].size) or real_block(h, flips, *s),
     )
     n = geom.n_sites
+    half = 1 << ((n + 1) // 2)
+    blocks = [b for b in ((2**n + half) // 2, (2**n - half) // 2) if b]
     for omega in (0.0, 1e-4, 0.04, 1.0):
         h = build_hamiltonian(qp(2.0), pair_couplings(geom, omega), n)
         ks = [k for k in (2, 3) if k <= h.dim] + ["all"]
+        sizes.clear()
         spectra = [spectrum(h, k) for k in ks]
-        # the blocks are built from diag and the pair strengths alone
+        # the two reversal blocks, built from diag and the pair strengths alone
+        assert sizes == blocks * len(ks)
         assert "matrix" not in vars(h)
         reference = np.linalg.eigh(h.matrix)[0]
         for spec in spectra:
             assert_matches_dense(h, spec, reference)
         assert spectra[-1].complete
-    assert len(blocks) == 4 * len(ks)
+    assert len(solves) == 4 * len(ks)
 
 
 def test_arrays_without_mirror_symmetry_solve_the_dense_matrix(qp, monkeypatch):
-    geom = custom_array([[0, 0, 0], [1, 0, 0], [2.5, 0, 0], [2.5, 1.2, 0]])
+    geom = NON_MIRROR_ARRAYS[0][0]
     h = build_hamiltonian(qp(2.0), pair_couplings(geom, 0.04), 4)
     assert not np.array_equal(h.pair_g, h.pair_g[::-1, ::-1])
     solved = []
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or real(a))
-    monkeypatch.setattr(manybody, "_reflection_spectrum", None)  # any call fails
-    spec = spectrum(h, "all")
+    monkeypatch.setattr(manybody, "_reflection_sectors", None)  # any call fails
+    for k in (2, 3, "all"):
+        spec = spectrum(h, k)
+        # the same bytes as LAPACK on the whole dense matrix
+        with manybody._blas.single_thread(h.dim**2):
+            if k == "all":
+                w, v = real(h.matrix)
+            else:
+                w, v = scipy.linalg.eigh(h.matrix, subset_by_index=[0, k - 1])
+        assert spec.eigenvalues.tobytes() == w.tobytes()
+        assert spec.eigenvectors.tobytes() == _fix_phases(v).tobytes()
     assert solved == [(16, 16)]
-    assert_matches_dense(h, spec, real(h.matrix)[0])
+    assert_matches_dense(h, spec, w)
 
 
 def test_a_wrong_antisymmetric_sign_breaks_the_blocks(qp, monkeypatch):
