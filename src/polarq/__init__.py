@@ -27,8 +27,7 @@ from .fits import (
 from .lattice import (
     ArrayGeometry,
     DegenerateGeometryError,
-    PairCoupling,
-    angular_factor,
+    PairCouplings,
     custom_array,
     linear_array,
     pair_couplings,
@@ -75,8 +74,7 @@ __all__ = [
     "p_fit",
     "ArrayGeometry",
     "DegenerateGeometryError",
-    "PairCoupling",
-    "angular_factor",
+    "PairCouplings",
     "custom_array",
     "linear_array",
     "pair_couplings",

@@ -391,7 +391,6 @@ def _plan_sweep(cfg, params, *_) -> TaskPlan:
 def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     """Single-shot pairwise concurrence map of the ground state."""
     point = _with_defaults(params, x=2.0, omega=1e-3)
-    omega = point["omega"]
     geom, nn_only = _geometry(cfg)
     header = ["i", "j", "omega_ij", "alpha_ij", "concurrence", "eof"]
     meta = {**_geom_meta(geom), **point, "nearest_neighbors_only": nn_only}
@@ -402,15 +401,17 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
         pairs = itertools.combinations(range(geom.n_sites), 2)
 
     def rows():
-        coups = pair_couplings(geom, omega, nn_only)
-        by_pair = {(c.i, c.j): c for c in coups}
+        coups = pair_couplings(geom, point["omega"], nn_only)
         h = build_hamiltonian(_qp(float(point["x"])), coups, geom.n_sites)
         ground = spectrum(h, 1).eigenvectors[:, 0]
+        # (omega, cos alpha) by pair; a pair left out by nearest_neighbors_only
+        # reads (0, 0), that is alpha = acos(0) = pi/2
+        table = np.zeros((2, geom.n_sites, geom.n_sites))
+        table[:, coups.i, coups.j] = coups.omega, coups.cos_alpha
         for pair in pairs:
             c = concurrence(reduce(ground, *pair))
-            pc = by_pair.get(tuple(sorted(pair)))
-            omega_ij, alpha_ij = (pc.omega, pc.alpha) if pc else (0.0, math.pi / 2)
-            yield [*pair, omega_ij, alpha_ij, c, entanglement_of_formation(c)]
+            omega_ij, cos_ij = table[:, min(pair), max(pair)]
+            yield [*pair, omega_ij, math.acos(cos_ij), c, entanglement_of_formation(c)]
 
     return TaskPlan(meta, header, rows())
 
@@ -508,7 +509,7 @@ def _cluster_edges(params: dict) -> tuple[list[tuple[int, int]], int, str]:
         rows, cols = params.get("rows", 3), params.get("cols", 3)
         geom, label = square_array(rows, cols), f"grid[{rows}x{cols}]"
     nearest = pair_couplings(geom, 1.0, nearest_neighbors_only=True)
-    return [(c.i, c.j) for c in nearest], geom.n_sites, label
+    return list(zip(nearest.i.tolist(), nearest.j.tolist())), geom.n_sites, label
 
 
 def _plan_cluster_check(cfg, params, *_) -> TaskPlan:

@@ -1,18 +1,19 @@
-"""Dipole-array geometries and pairwise coupling lists.
+"""Dipole-array geometries and their pair coupling table.
 
 Sites live at fixed positions measured in units of the nearest-neighbor
 spacing a, so a single dimensionless number omega_nn = Omega/B sets every
 coupling: Omega_ij = omega_nn / r_ij^3.  The dipole-dipole interaction also
 carries the angular factor 1 - 3 cos^2(alpha), with alpha the angle between
-the pair separation and the external field.  The built-in arrays put the
-field perpendicular to the array plane, so alpha = pi/2 and the factor is 1
-for every pair.
+the pair separation and the external field; one table holds both per pair.
+The built-in arrays put the field perpendicular to the array plane, so
+cos alpha = 0 and the factor is 1 for every pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,28 +107,19 @@ def custom_array(positions, field_direction=(0.0, 0.0, 1.0)) -> ArrayGeometry:
     )
 
 
-@dataclass(frozen=True)
-class PairCoupling:
-    """One unordered pair: Omega_ij/B and the field angle alpha in radians."""
+class PairCouplings(NamedTuple):
+    """Pair table, one entry per pair i < j: Omega_ij/B and cos(alpha_ij)."""
 
-    i: int
-    j: int
-    omega: float
-    alpha: float
-
-
-def angular_factor(alpha: float) -> float:
-    """Orientation factor 1 - 3 cos^2(alpha) of the dipole-dipole interaction.
-
-    1 at alpha = pi/2, -2 at alpha = 0, 0 at the magic angle arccos(1/sqrt(3)).
-    """
-    return 1.0 - 3.0 * math.cos(alpha) ** 2
+    i: np.ndarray
+    j: np.ndarray
+    omega: np.ndarray
+    cos_alpha: np.ndarray
 
 
 def pair_couplings(
     geom: ArrayGeometry, omega_nn: float, nearest_neighbors_only: bool = False
-) -> list[PairCoupling]:
-    """Coupling list with omega = omega_nn / r_ij^3 for every pair i < j.
+) -> PairCouplings:
+    """Coupling table with omega = omega_nn / r_ij^3 for every pair i < j, row-major.
 
     Args:
         geom: site layout and field direction.
@@ -137,18 +129,14 @@ def pair_couplings(
     """
     if not 0 <= omega_nn < math.inf:
         raise ValueError(f"omega_nn must be finite and >= 0, got {omega_nn}")
-    # one pass over all pairs i < j in row-major order; np.vecdot takes each
-    # row's dot product with BLAS ddot, as r @ f and np.linalg.norm(r) do, so
-    # every distance and cosine is bit-identical to a per-pair loop
+    # bit-identical to a per-pair loop: np.vecdot takes each row's dot product
+    # with BLAS ddot, as r @ f and np.linalg.norm(r) do, and np.float_power
+    # calls libm's pow, as a Python float's d**3 does and numpy's d**3 does not
     sites = np.arange(geom.n_sites)
     i, j = np.nonzero(sites[:, None] < sites)  # np.triu_indices(n, 1), 4x faster
     r = geom.positions[j] - geom.positions[i]
     d = np.sqrt(np.vecdot(r, r))
     cos_a = np.minimum(np.maximum(np.vecdot(r, geom.field_direction) / d, -1.0), 1.0)
     keep = np.abs(d - 1.0) <= 1e-9 if nearest_neighbors_only else slice(None)
-    return [
-        PairCoupling(i=a, j=b, omega=omega_nn / dist**3, alpha=math.acos(c))
-        for a, b, dist, c in zip(
-            i[keep].tolist(), j[keep].tolist(), d[keep].tolist(), cos_a[keep].tolist()
-        )
-    ]
+    omega = omega_nn / np.float_power(d[keep], 3)
+    return PairCouplings(i[keep], j[keep], omega, cos_a[keep])

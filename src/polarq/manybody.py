@@ -9,6 +9,7 @@ The Hamiltonian, in units of B, is
       + sum_{i<j} omega_ij (1 - 3 cos^2 alpha_ij) (M_i x M_j),
 
 with M = [[c0, xme], [xme, c1]] the cos(theta) matrix in the qubit pair.
+Each g = omega (1 - 3 cos^2 alpha) is formed once from the lattice's table.
 Each M_i x M_j splits into a diagonal part, xme-weighted flips of bit i and
 of bit j, and a g xme^2 flip of both.  H is kept in that form at every size
 up to the 24-qubit cap.  Up to 14 qubits one builder, `_sector_block`, turns
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import _blas
 from .circuits.core import MAX_QUBITS
-from .lattice import PairCoupling, angular_factor
+from .lattice import PairCouplings
 from .pendular import QubitPair, _fix_phases
 
 DENSE_LIMIT = 14
@@ -48,6 +49,9 @@ _PROBABILITY_FLOOR = 1e-300
 
 # Davidson's dense ground-state iteration: steps before it hands over to ARPACK.
 _DAVIDSON_STEPS = 50
+# Eigenvector columns mapped back per step: 32 MiB of temporaries at n = 14,
+# where one temporary as large as the 2^n x 2^n result would take 2 GiB.
+_COLUMN_BLOCK = 256
 
 
 class CapacityError(ValueError):
@@ -74,25 +78,29 @@ class UnderflowWarning(RuntimeWarning):
     """A probability underflowed to zero and is reported as 0."""
 
 
-def _coupling_strengths(couplings, n: int) -> tuple[tuple[int, int, float], ...]:
+def _resolve(couplings: PairCouplings, n: int) -> tuple[tuple[int, int, float], ...]:
+    """Each pair's (i, j, g) with g = omega (1 - 3 cos^2 alpha), checked in one pass."""
     if n < 1:
         raise ValueError(f"need at least one molecule, got n={n}")
     if n > MAX_QUBITS:
         raise CapacityError(f"n={n} exceeds the {MAX_QUBITS}-molecule cap")
-    out = []
-    for c in couplings:
-        if not (0 <= c.i < c.j < n):
-            raise IndexError(
-                f"coupling ({c.i}, {c.j}) breaks 0 <= i < j < n for n={n} molecules"
-            )
-        g = c.omega * angular_factor(c.alpha) if math.isfinite(c.alpha) else math.nan
-        if not math.isfinite(g):
-            raise ValueError(
-                f"coupling ({c.i}, {c.j}) has a non-finite strength:"
-                f" omega={c.omega}, alpha={c.alpha}"
-            )
-        out.append((c.i, c.j, g))
-    return tuple(out)
+    i, j, omega, cos_a = map(np.asarray, couplings, (int, int, float, float))
+    if len({a.shape for a in (i, j, omega, cos_a)}) != 1 or i.ndim != 1:
+        raise ValueError("coupling table columns must be 1-D of one length")
+    if (bad := np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))).size:
+        k = bad[0]
+        raise IndexError(
+            f"coupling ({i[k]}, {j[k]}) breaks 0 <= i < j < n for n={n} molecules"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = omega * (1.0 - 3.0 * cos_a**2)
+    if (bad := np.flatnonzero(~np.isfinite(g))).size:
+        k = bad[0]
+        raise ValueError(
+            f"coupling ({i[k]}, {j[k]}) has a non-finite strength:"
+            f" omega={omega[k]}, cos_alpha={cos_a[k]}"
+        )
+    return tuple(zip(i.tolist(), j.tolist(), g.tolist()))
 
 
 def _flip_weights(qp: QubitPair, pair_g: np.ndarray, sites: list[int]) -> np.ndarray:
@@ -115,17 +123,16 @@ def _flip_weights(qp: QubitPair, pair_g: np.ndarray, sites: list[int]) -> np.nda
 class QubitHamiltonian:
     """Hamiltonian of n coupled molecules in the 2^n qubit basis, units of B.
 
-    diag is H's diagonal and strengths the resolved (i, j, g) of each pair;
-    apply forms H @ v from them at every size.  matrix is the same operator
-    as a dense array, the identity sector's `_sector_block`, built on first
-    read for n <= 14, and None above.
+    diag is H's diagonal and couplings the resolved (i, j, g) of each pair, a
+    hashable tuple; apply forms H @ v from them at every size.  matrix is the
+    same operator as a dense array, the identity sector's `_sector_block`,
+    built on first read for n <= 14, and None above.
     """
 
     n: int
     qp: QubitPair
-    couplings: tuple[PairCoupling, ...]
+    couplings: tuple[tuple[int, int, float], ...]
     diag: np.ndarray
-    strengths: tuple[tuple[int, int, float], ...]
 
     @property
     def dim(self) -> int:
@@ -133,12 +140,11 @@ class QubitHamiltonian:
 
     @functools.cached_property
     def pair_g(self) -> np.ndarray:
-        """The n x n pair strengths g_ij, symmetric with a zero diagonal."""
+        """The n x n pair couplings g_ij, symmetric with a zero diagonal."""
         g = np.zeros((self.n, self.n))
-        for i, j, s in self.strengths:
-            g[i, j] += s
-            g[j, i] += s
-        return g
+        i, j, s = np.array(self.couplings).reshape(-1, 3).T
+        np.add.at(g, (i.astype(int), j.astype(int)), s)  # a pair listed twice adds up
+        return g + g.T
 
     @functools.cached_property
     def matrix(self) -> np.ndarray | None:
@@ -155,35 +161,35 @@ class QubitHamiltonian:
         for i in range(self.n):
             w = _flip_weights(self.qp, self.pair_g, [i])
             out += w.reshape(t.shape) * np.flip(t, i)
-        for i, j, g in self.strengths:
+        for i, j, g in self.couplings:
             out += g * self.qp.xme**2 * np.flip(t, (i, j))
         return out.reshape(v.shape)
 
 
 def build_hamiltonian(
-    qp: QubitPair, couplings: list[PairCoupling], n: int
+    qp: QubitPair, couplings: PairCouplings, n: int
 ) -> QubitHamiltonian:
-    """Assemble the 2^n qubit-basis Hamiltonian: its diagonal and pair strengths.
+    """Assemble the 2^n qubit-basis Hamiltonian: its diagonal and pair couplings.
 
     Args:
         qp: single-molecule energies and cos(theta) matrix elements.
-        couplings: pairwise Omega_ij/B entries with field angles.
+        couplings: the pair table of Omega_ij/B and cos(alpha_ij).
         n: molecule count, 1 <= n <= 24.
 
     Raises:
         CapacityError: n > 24.
         IndexError: a coupling breaks 0 <= i < j < n.
-        ValueError: a coupling strength is not finite.
+        ValueError: the columns differ in shape, or a strength is not finite.
     """
-    strengths = _coupling_strengths(couplings, n)
+    resolved = _resolve(couplings, n)
     # M_i x M_j's diagonal part g c_{b_i} c_{b_j}, with c_{b_i} along axis i
     m_diag = np.array([qp.c0, qp.c1])
     site_diag = [m_diag.reshape([-1] + [1] * (n - 1 - i)) for i in range(n)]
     diag = n * qp.w0 + (qp.w1 - qp.w0) * np.bitwise_count(np.arange(1 << n))
     grid = diag.reshape([2] * n)
-    for i, j, g in strengths:
+    for i, j, g in resolved:
         grid += g * site_diag[i] * site_diag[j]
-    return QubitHamiltonian(n, qp, tuple(couplings), diag, strengths)
+    return QubitHamiltonian(n, qp, resolved, diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +230,7 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
     # per pair: single flips of i and of j, each at most |g xme| max|c|, and
     # the double flip g xme^2; no matrix is read, so no matrix-sized temporary
     reach = abs(qp.xme) * (2 * max(abs(qp.c0), abs(qp.c1)) + abs(qp.xme))
-    s = reach * sum(abs(g) for _, _, g in h.strengths)
+    s = reach * sum(abs(g) for _, _, g in h.couplings)
     d1, d2 = np.partition(h.diag, 1)[:2]
     if not d1 + s < d2 - s:  # written so that NaN fails it
         return None
@@ -314,8 +320,8 @@ def _sector_block(
     """
     n, m = h.n, reps.size
     bit = [1 << (n - 1 - i) for i in range(n)]
-    masks = np.array([0] + bit + [bit[i] | bit[j] for i, j, _ in h.strengths])
-    pair_flip = np.array([g for _, _, g in h.strengths]) * h.qp.xme**2
+    masks = np.array([0] + bit + [bit[i] | bit[j] for i, j, _ in h.couplings])
+    pair_flip = np.array([g for _, _, g in h.couplings]) * h.qp.xme**2
     pair_rows = np.broadcast_to(pair_flip[:, None], (pair_flip.size, m))
     values = np.concatenate([h.diag[None, reps], flips[:, reps], pair_rows])
     x = reps ^ masks[:, None]
@@ -333,8 +339,9 @@ def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
     just before its solve, so no two are held at once: `eigh` for all levels,
     LAPACK evr for the lowest k (all of a block smaller than k).  The levels
     are merged and each eigenvector is mapped back to the 2^n basis through
-    its sector's coefficients.  The solves share one thread-count block,
-    entered after scipy's import so that it steers scipy's BLAS too.
+    its sector's coefficients, _COLUMN_BLOCK columns at a time.  The solves
+    share one thread-count block, entered after scipy's import so that it
+    steers scipy's BLAS too.
     """
     if np.array_equal(h.pair_g, h.pair_g[::-1, ::-1]):
         sectors = [s for s in _reflection_sectors(h.n) if s[0].size]
@@ -357,11 +364,13 @@ def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
     levels = np.concatenate([w for w, _ in solved])
     order = np.argsort(levels, kind="stable")[: h.dim if k == "all" else int(k)]
     vectors, start = np.empty((h.dim, order.size)), 0
-    for (w, v), (_, row, coef) in zip(solved, sectors):
-        mine = (order >= start) & (order < start + w.size)
-        vectors[:, mine] = v[:, order[mine] - start][row] * coef[:, None]
+    for _, row, coef in sectors:
+        w, v = solved.pop(0)  # dropped once its columns are mapped
+        mine = np.flatnonzero((order >= start) & (order < start + w.size))
+        for c in np.split(mine, range(_COLUMN_BLOCK, mine.size, _COLUMN_BLOCK)):
+            vectors[:, c] = _fix_phases(v[:, order[c] - start][row] * coef[:, None])
         start += w.size
-    return Spectrum(levels[order], _fix_phases(vectors), h.dim)
+    return Spectrum(levels[order], vectors, h.dim)
 
 
 def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
@@ -382,7 +391,7 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
 
     k = "all" is a dense `eigh` and needs n <= 14.  An integer k >= 2 is a
     partial dense solve (LAPACK evr) up to 14 qubits and ARPACK above.  Where
-    the pair strengths are unchanged by reversing the site order (g_ij =
+    the pair couplings are unchanged by reversing the site order (g_ij =
     g_{n-1-i, n-1-j} bit for bit; every chain and every row-major square
     array, whatever the field direction, since reversal maps r_ij to -r_ij),
     H commutes with that reversal.  Both dense solves then run on its
@@ -390,7 +399,7 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     about a quarter of the work of one solve of the whole H.  Other arrays,
     such as most custom geometries, solve the one block of the identity
     sector, which is H itself.  Every block comes from the same builder,
-    from `diag` and the pair strengths (`_sector_spectrum`).
+    from `diag` and the pair couplings (`_sector_spectrum`).
     When the Krylov space closes early (a short symmetric chain, or
     Omega = 0, which makes H diagonal), ARPACK continues from a random vector
     drawn from one generator per process.  The ground state already lies in
@@ -505,7 +514,7 @@ def thermal_excitation(spec: Spectrum, kt: float) -> float:
 
 
 def perturbative_ground_state(
-    qp: QubitPair, couplings: list[PairCoupling], n: int
+    qp: QubitPair, couplings: PairCouplings, n: int
 ) -> tuple[np.ndarray, float]:
     """First-order ground state and the quadratic excitation-probability bound.
 
@@ -520,15 +529,15 @@ def perturbative_ground_state(
     Raises:
         PerturbationInvalidError: dw = 0.
     """
-    strengths = _coupling_strengths(couplings, n)
+    resolved = _resolve(couplings, n)
     dw = qp.dw
     if dw == 0:
         raise PerturbationInvalidError("qubit splitting dw is zero")
     psi = np.zeros(1 << n)
     psi[0] = 1.0
-    omega_eff = max((abs(g) for _, _, g in strengths), default=0.0)
+    omega_eff = max((abs(g) for _, _, g in resolved), default=0.0)
     site_sums = np.zeros(n)
-    for i, j, g in strengths:
+    for i, j, g in resolved:
         amp_single = -g * qp.c0 * qp.xme / dw
         psi[1 << (n - 1 - i)] += amp_single
         psi[1 << (n - 1 - j)] += amp_single

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarq import (
+    PairCouplings,
     build_hamiltonian,
     concurrence,
     entanglement_of_formation,
@@ -131,7 +132,7 @@ def test_eof_landmarks_and_monotonicity():
 
 
 def test_map_zero_coupling_is_unentangled(qp):
-    h = build_hamiltonian(qp(2.0), [], 4)
+    h = build_hamiltonian(qp(2.0), PairCouplings([], [], [], []), 4)
     ground = spectrum(h, "all").eigenvectors[:, 0]
     cmap = pairwise_concurrence_map(ground)
     assert cmap.n_sites == 4

@@ -1,4 +1,4 @@
-"""Array geometries and pairwise coupling lists."""
+"""Array geometries and their pair coupling table."""
 
 import math
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from polarq import (
     DegenerateGeometryError,
-    PairCoupling,
-    angular_factor,
     custom_array,
     linear_array,
     pair_couplings,
@@ -18,69 +16,69 @@ from polarq import (
 )
 
 
-def _coupling(coups, i, j):
-    for c in coups:
-        if (c.i, c.j) == (i, j):
-            return c
-    raise KeyError((i, j))
+def _pairs(coups):
+    return list(zip(coups.i.tolist(), coups.j.tolist()))
 
 
-def test_angular_factor_landmarks():
-    assert angular_factor(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-    assert angular_factor(0.0) == pytest.approx(-2.0, abs=1e-15)
-    assert angular_factor(math.acos(1 / math.sqrt(3))) == pytest.approx(0.0, abs=1e-12)
+def _omega(coups, i, j):
+    return coups.omega[_pairs(coups).index((i, j))]
+
+
+def _alpha(coups):
+    return np.arccos(coups.cos_alpha)
 
 
 def test_linear_cubic_decay_exact():
     coups = pair_couplings(linear_array(5), 1e-3)
-    assert len(coups) == 10
-    for c in coups:
-        assert c.omega == 1e-3 / (c.j - c.i) ** 3
-        assert c.alpha == pytest.approx(math.pi / 2, abs=1e-12)
-    assert _coupling(coups, 0, 2).omega == pytest.approx(1e-3 / 8, abs=0)
+    assert coups.i.size == 10
+    for (i, j), omega, alpha in zip(_pairs(coups), coups.omega, _alpha(coups)):
+        assert omega == 1e-3 / (j - i) ** 3
+        assert alpha == pytest.approx(math.pi / 2, abs=1e-12)
+    assert _omega(coups, 0, 2) == pytest.approx(1e-3 / 8, abs=0)
 
 
 def test_square_diagonal_coupling():
     coups = pair_couplings(square_array(3, 3), 1.0)
-    assert len(coups) == 36
+    assert coups.i.size == 36
     # row-major: 0 and 4 sit diagonally at distance sqrt(2)
-    assert _coupling(coups, 0, 4).omega == pytest.approx(2 ** -1.5, rel=1e-12)
-    assert _coupling(coups, 0, 1).omega == pytest.approx(1.0, abs=0)
-    for c in coups:
-        assert c.alpha == pytest.approx(math.pi / 2, abs=1e-12)
+    assert _omega(coups, 0, 4) == pytest.approx(2 ** -1.5, rel=1e-12)
+    assert _omega(coups, 0, 1) == pytest.approx(1.0, abs=0)
+    for alpha in _alpha(coups):
+        assert alpha == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_custom_field_angles():
     # chain along x, field along x: alpha = 0 for every pair
     geom = custom_array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], field_direction=(1, 0, 0))
-    for c in pair_couplings(geom, 1.0):
-        assert c.alpha == pytest.approx(0.0, abs=1e-12)
-        assert angular_factor(c.alpha) == pytest.approx(-2.0, abs=1e-12)
+    coups = pair_couplings(geom, 1.0)
+    for alpha, cos_a in zip(_alpha(coups), coups.cos_alpha):
+        assert alpha == pytest.approx(0.0, abs=1e-12)
+        assert 1 - 3 * cos_a**2 == pytest.approx(-2.0, abs=1e-12)
     # antiparallel separation gives alpha = pi, same factor
     geom = custom_array([[0, 0, 0], [-1, 0, 0]], field_direction=(1, 0, 0))
-    (c,) = pair_couplings(geom, 1.0)
-    assert c.alpha == pytest.approx(math.pi, abs=1e-12)
+    (alpha,) = _alpha(pair_couplings(geom, 1.0))
+    assert alpha == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_relabeling_preserves_coupling_multiset():
     fwd = pair_couplings(linear_array(5), 0.7)
     pos = linear_array(5).positions[::-1].copy()
     rev = pair_couplings(custom_array(pos), 0.7)
-    key = lambda c: (round(c.omega, 15), round(c.alpha, 12))
-    assert sorted(map(key, fwd)) == sorted(map(key, rev))
+    key = lambda c: sorted(zip(np.round(c.omega, 15), np.round(_alpha(c), 12)))
+    assert key(fwd) == key(rev)
 
 
 def test_nearest_neighbors_only_switch():
     coups = pair_couplings(linear_array(4), 1.0, nearest_neighbors_only=True)
-    assert [(c.i, c.j) for c in coups] == [(0, 1), (1, 2), (2, 3)]
+    assert _pairs(coups) == [(0, 1), (1, 2), (2, 3)]
     coups = pair_couplings(square_array(2, 2), 1.0, nearest_neighbors_only=True)
-    assert [(c.i, c.j) for c in coups] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert _pairs(coups) == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 def loop_couplings(geom, omega_nn, nearest_neighbors_only=False):
     """The per-pair loop that pair_couplings vectorises, as its reference."""
     pos, f = geom.positions, geom.field_direction
-    out = []
+    rows = []
     for i in range(geom.n_sites):
         for j in range(i + 1, geom.n_sites):
             r = pos[j] - pos[i]
@@ -88,8 +86,8 @@ def loop_couplings(geom, omega_nn, nearest_neighbors_only=False):
             if nearest_neighbors_only and abs(d - 1.0) > 1e-9:
                 continue
             cos_a = min(1.0, max(-1.0, float(r @ f / d)))
-            out.append(PairCoupling(i, j, omega_nn / d**3, math.acos(cos_a)))
-    return out
+            rows.append((i, j, omega_nn / d**3, cos_a))
+    return rows
 
 
 def test_pair_couplings_equal_the_per_pair_loop_bit_for_bit():
@@ -103,7 +101,11 @@ def test_pair_couplings_equal_the_per_pair_loop_bit_for_bit():
     ]
     for geom in geoms:
         for omega, nn in ((1e-3, False), (0.37, False), (1.0, True)):
-            assert pair_couplings(geom, omega, nn) == loop_couplings(geom, omega, nn)
+            coups = pair_couplings(geom, omega, nn)
+            table = (coups.i, coups.j, coups.omega, coups.cos_alpha)
+            want = np.array(loop_couplings(geom, omega, nn)).reshape(-1, 4).T
+            for got, column in zip(table, want, strict=True):
+                assert got.tobytes() == column.astype(got.dtype).tobytes()
 
 
 def test_degenerate_and_invalid_inputs():
@@ -159,9 +161,9 @@ def test_geometry_bookkeeping():
 def test_coupling_properties(points, omega_nn):
     geom = custom_array([[float(a), float(b), float(c)] for a, b, c in points])
     coups = pair_couplings(geom, omega_nn)
-    assert len(coups) == len(points) * (len(points) - 1) // 2
+    assert coups.i.size == len(points) * (len(points) - 1) // 2
     pos = geom.positions
-    for c in coups:
-        assert 0.0 <= c.alpha <= math.pi
-        d = np.linalg.norm(pos[c.j] - pos[c.i])
-        assert c.omega == pytest.approx(omega_nn / d**3, rel=1e-12, abs=1e-300)
+    for i, j, omega, alpha in zip(coups.i, coups.j, coups.omega, _alpha(coups)):
+        assert 0.0 <= alpha <= math.pi
+        d = np.linalg.norm(pos[j] - pos[i])
+        assert omega == pytest.approx(omega_nn / d**3, rel=1e-12, abs=1e-300)

@@ -33,7 +33,7 @@ from polarq import (
     square_array,
 )
 from polarq import manybody
-from polarq.lattice import ArrayGeometry, PairCoupling, angular_factor
+from polarq.lattice import ArrayGeometry, PairCouplings
 from polarq.pendular import _fix_phases
 from polarq.manybody import (
     DENSE_LIMIT,
@@ -44,6 +44,14 @@ from polarq.manybody import (
     UnderflowWarning,
     thermal_excitation,
 )
+
+
+NO_PAIRS = PairCouplings([], [], [], [])
+
+
+def table(*rows):
+    """A coupling table from (i, j, omega, cos_alpha) rows."""
+    return PairCouplings(*zip(*rows))
 
 
 def kron_oracle(qp, couplings, n):
@@ -61,9 +69,10 @@ def kron_oracle(qp, couplings, n):
 
     for i in range(n):
         h += embed({i: one_site})
-    for c in couplings:
-        g = c.omega * angular_factor(c.alpha)
-        h += g * embed({c.i: m, c.j: m})
+    for i, j, omega, cos_a in zip(
+        couplings.i, couplings.j, couplings.omega, couplings.cos_alpha
+    ):
+        h += omega * (1 - 3 * cos_a**2) * embed({i: m, j: m})
     return h
 
 
@@ -78,7 +87,7 @@ def scatter_reference(h):
     cols, top = np.arange(h.dim), 2 * h.n - 1
     dense = np.zeros((h.dim, h.dim))
     flat, at = dense.reshape(-1), cols * (h.dim + 1)  # the diagonal (c, c)
-    for i, j, g in h.strengths:
+    for i, j, g in h.couplings:
         flat[at ^ (1 << (top - i)) ^ (1 << (top - j))] += g * h.qp.xme**2
     for i, w in enumerate(manybody._flip_weights(h.qp, h.pair_g, list(range(h.n)))):
         flat[at ^ (1 << (top - i))] += w
@@ -87,7 +96,7 @@ def scatter_reference(h):
 
 
 def test_single_molecule_diagonal(qp):
-    h = build_hamiltonian(qp(2.0), [], 1)
+    h = build_hamiltonian(qp(2.0), NO_PAIRS, 1)
     assert np.allclose(h.matrix, np.diag([qp(2.0).w0, qp(2.0).w1]))
 
 
@@ -106,11 +115,11 @@ def test_hand_expanded_two_molecule_entries(qp):
 def test_matches_kron_oracle(qp):
     q = qp(2.0)
     # irregular couplings, including a tilted field angle
-    coups = [
-        PairCoupling(i=0, j=1, omega=3e-3, alpha=math.pi / 2),
-        PairCoupling(i=0, j=2, omega=1e-3, alpha=0.3),
-        PairCoupling(i=1, j=2, omega=2e-3, alpha=1.1),
-    ]
+    coups = table(
+        (0, 1, 3e-3, math.cos(math.pi / 2)),
+        (0, 2, 1e-3, math.cos(0.3)),
+        (1, 2, 2e-3, math.cos(1.1)),
+    )
     for n in (3, 4):
         h = build_hamiltonian(q, coups, n)
         scale = np.max(np.abs(h.matrix))
@@ -136,7 +145,7 @@ def test_ground_energy_against_mpmath(qp, chain_spectrum):
 
 def test_zero_coupling_spectrum_is_sum_of_levels(qp):
     q = qp(2.0)
-    spec = spectrum(build_hamiltonian(q, [], 3), "all")
+    spec = spectrum(build_hamiltonian(q, NO_PAIRS, 3), "all")
     want = sorted(
         q.w0 * (3 - bin(b).count("1")) + q.w1 * bin(b).count("1") for b in range(8)
     )
@@ -244,7 +253,7 @@ def test_mirror_symmetric_arrays_solve_in_reflection_blocks(qp, geom, monkeypatc
         ks = [k for k in (2, 3) if k <= h.dim] + ["all"]
         sizes.clear()
         spectra = [spectrum(h, k) for k in ks]
-        # the two reversal blocks, built from diag and the pair strengths alone
+        # the two reversal blocks, built from diag and the pair couplings alone
         assert sizes == blocks * len(ks)
         assert "matrix" not in vars(h)
         reference = np.linalg.eigh(h.matrix)[0]
@@ -274,6 +283,17 @@ def test_arrays_without_mirror_symmetry_solve_the_dense_matrix(qp, monkeypatch):
         assert spec.eigenvectors.tobytes() == _fix_phases(v).tobytes()
     assert solved == [(16, 16)]
     assert_matches_dense(h, spec, w)
+
+
+def test_column_blocks_keep_the_eigenvector_bytes(qp, monkeypatch):
+    # 512 columns at n = 9 take two column blocks; one block of all columns
+    # must give the same bytes
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(9), 1e-3), 9)
+    blocked = spectrum(h, "all")
+    monkeypatch.setattr(manybody, "_COLUMN_BLOCK", h.dim)
+    whole = spectrum(h, "all")
+    assert blocked.eigenvalues.tobytes() == whole.eigenvalues.tobytes()
+    assert blocked.eigenvectors.tobytes() == whole.eigenvectors.tobytes()
 
 
 def test_a_wrong_antisymmetric_sign_breaks_the_blocks(qp, monkeypatch):
@@ -454,40 +474,78 @@ def test_ground_state_above_the_dense_limit_matches_perturbation_theory(qp):
     assert abs(p - p_pert) <= 2 * omega / q.dw * p_pert
 
 
+def test_pair_strength_angular_landmarks(qp):
+    # g = omega (1 - 3 cos^2 alpha) of one pair at unit separation: omega at
+    # alpha = pi/2, -2 omega at alpha = 0, 0 at the magic angle arccos(1/sqrt(3))
+    landmarks = [
+        ((0, 0, 1), 1.0, 1e-15),
+        ((1, 0, 0), -2.0, 1e-15),
+        ((1, math.sqrt(2), 0), 0.0, 1e-12),
+    ]
+    for field, factor, tol in landmarks:
+        coups = pair_couplings(linear_array(2, field), 1.0)
+        ((_, _, g),) = build_hamiltonian(qp(2.0), coups, 2).couplings
+        assert g == pytest.approx(factor, abs=tol), field
+
+
+def test_equal_tables_give_equal_hashable_couplings(qp):
+    # repeat solves are counted by the key (n, qp, couplings)
+    a, b, c = (
+        build_hamiltonian(qp(2.0), pair_couplings(linear_array(4), omega), 4)
+        for omega in (1e-3, 1e-3, 2e-3)
+    )
+    assert a.couplings == b.couplings
+    assert hash((a.n, a.qp, a.couplings)) == hash((b.n, b.qp, b.couplings))
+    assert a.couplings != c.couplings
+
+
 def test_capacity_and_index_errors(qp):
     with pytest.raises(CapacityError):
-        build_hamiltonian(qp(2.0), [], 25)
+        build_hamiltonian(qp(2.0), NO_PAIRS, 25)
     with pytest.raises(IndexError):
-        build_hamiltonian(
-            qp(2.0), [PairCoupling(i=0, j=2, omega=1e-3, alpha=math.pi / 2)], 2
-        )
+        build_hamiltonian(qp(2.0), table((0, 2, 1e-3, 0.0)), 2)
     with pytest.raises(ValueError):
-        build_hamiltonian(qp(2.0), [], 0)
+        build_hamiltonian(qp(2.0), NO_PAIRS, 0)
+
+
+def test_table_columns_must_be_one_dimensional_of_one_length(qp):
+    for bad in (
+        PairCouplings([0, 0], [1, 2], [1e-3], [0.0, 0.0]),
+        PairCouplings([[0]], [[1]], [[1e-3]], [[0.0]]),
+    ):
+        with pytest.raises(ValueError, match="1-D of one length"):
+            build_hamiltonian(qp(2.0), bad, 3)
 
 
 @pytest.mark.parametrize("i, j", [(1, 0), (1, 1)])
 def test_misordered_pair_is_named_with_the_index_rule(qp, i, j):
-    coupling = PairCoupling(i=i, j=j, omega=1e-3, alpha=math.pi / 2)
+    coupling = table((i, j, 1e-3, 0.0))
     with pytest.raises(IndexError, match=rf"\({i}, {j}\) breaks 0 <= i < j < n"):
-        build_hamiltonian(qp(2.0), [coupling], 3)
+        build_hamiltonian(qp(2.0), coupling, 3)
 
 
 @pytest.mark.parametrize(
-    "omega, alpha",
-    [(math.nan, 1.0), (math.inf, 1.0), (1e-3, math.nan), (1e-3, math.inf), (1e308, 0.0)],
+    "omega, cos_alpha",
+    [
+        (math.nan, math.cos(1.0)),
+        (math.inf, math.cos(1.0)),
+        (1e-3, math.nan),
+        (1e-3, math.inf),
+        (1e308, 1.0),
+    ],
 )
-def test_non_finite_coupling_strength_is_rejected(qp, omega, alpha):
-    # 1e308 at alpha = 0 overflows to -inf through the factor -2
-    coupling = PairCoupling(i=0, j=2, omega=omega, alpha=alpha)
+def test_non_finite_coupling_strength_is_rejected(qp, omega, cos_alpha):
+    # 1e308 at alpha = 0 (cos 1) overflows to -inf through the factor -2
+    coupling = table((0, 2, omega, cos_alpha))
     for n in (3, DENSE_LIMIT + 1):
         with pytest.raises(ValueError, match=r"coupling \(0, 2\) has a non-finite"):
-            build_hamiltonian(qp(2.0), [coupling], n)
+            build_hamiltonian(qp(2.0), coupling, n)
     with pytest.raises(ValueError, match=r"coupling \(0, 2\)"):
-        perturbative_ground_state(qp(2.0), [coupling], 3)
+        perturbative_ground_state(qp(2.0), coupling, 3)
 
 
 def test_p_not_all_zero_basics(qp, chain_spectrum):
-    spec = spectrum(build_hamiltonian(qp(2.0), [], 4), "all")
+    spec = spectrum(build_hamiltonian(qp(2.0), NO_PAIRS, 4), "all")
     assert p_not_all_zero(spec.eigenvectors[:, 0]) == 0.0
     with pytest.raises(NormalizationError):
         p_not_all_zero(np.ones(4))
@@ -514,7 +572,7 @@ def test_quadratic_coupling_ratio(chain_spectrum):
 
 def test_gap_tracks_single_molecule_splitting(qp, chain_spectrum):
     q = qp(2.0)
-    assert energy_gap(spectrum(build_hamiltonian(q, [], 5), "all")) == pytest.approx(
+    assert energy_gap(spectrum(build_hamiltonian(q, NO_PAIRS, 5), "all")) == pytest.approx(
         q.dw, abs=1e-12
     )
     for n in (2, 5, 9):
@@ -527,7 +585,7 @@ def test_gap_tracks_single_molecule_splitting(qp, chain_spectrum):
 
 def test_gap_requires_two_levels(qp):
     with pytest.raises(ValueError):
-        energy_gap(spectrum(build_hamiltonian(qp(2.0), [], 3), 1))
+        energy_gap(spectrum(build_hamiltonian(qp(2.0), NO_PAIRS, 3), 1))
 
 
 def test_thermal_limits_and_errors(qp, chain_spectrum):
@@ -545,7 +603,7 @@ def test_thermal_limits_and_errors(qp, chain_spectrum):
 
 def test_thermal_two_level_boltzmann(qp):
     q = qp(2.0)
-    spec = spectrum(build_hamiltonian(q, [], 1), "all")
+    spec = spectrum(build_hamiltonian(q, NO_PAIRS, 1), "all")
     assert thermal_excitation(spec, q.dw / math.log(2)) == pytest.approx(
         1 / 3, abs=1e-12
     )
@@ -558,7 +616,7 @@ def test_thermal_underflow_reports_zero_with_warning(chain_spectrum):
 
 
 def test_perturbative_state_zero_coupling(qp):
-    psi, bound = perturbative_ground_state(qp(2.0), [], 3)
+    psi, bound = perturbative_ground_state(qp(2.0), NO_PAIRS, 3)
     want = np.zeros(8)
     want[0] = 1.0
     assert np.allclose(psi, want)
@@ -580,9 +638,7 @@ def test_perturbative_overlap_and_bound(qp, chain_spectrum):
 def test_perturbation_rejects_degenerate_levels():
     flat = QubitPair(x=0.0, w0=1.0, w1=1.0, c0=0.3, c1=0.2, xme=0.1)
     with pytest.raises(PerturbationInvalidError):
-        perturbative_ground_state(
-            flat, [PairCoupling(i=0, j=1, omega=1e-3, alpha=math.pi / 2)], 2
-        )
+        perturbative_ground_state(flat, table((0, 1, 1e-3, 0.0)), 2)
 
 
 @settings(deadline=None, max_examples=20)
