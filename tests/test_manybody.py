@@ -524,14 +524,16 @@ def test_misordered_pair_is_named_with_the_index_rule(qp, i, j):
         build_hamiltonian(qp(2.0), coupling, 3)
 
 
+# ids give omega and the bond angle alpha in radians; a non-finite
+# cos alpha is named by its own value
 @pytest.mark.parametrize(
     "omega, cos_alpha",
     [
-        (math.nan, math.cos(1.0)),
-        (math.inf, math.cos(1.0)),
-        (1e-3, math.nan),
-        (1e-3, math.inf),
-        (1e308, 1.0),
+        pytest.param(math.nan, math.cos(1.0), id="nan-1.0"),
+        pytest.param(math.inf, math.cos(1.0), id="inf-1.0"),
+        pytest.param(1e-3, math.nan, id="0.001-nan"),
+        pytest.param(1e-3, math.inf, id="0.001-inf"),
+        pytest.param(1e308, 1.0, id="1e+308-0.0"),
     ],
 )
 def test_non_finite_coupling_strength_is_rejected(qp, omega, cos_alpha):
