@@ -49,7 +49,12 @@ from .circuits.core import (
     Gate,
     _checked_cluster_state,
 )
-from .entangle import concurrence, entanglement_of_formation, reduce
+from .entangle import (
+    concurrence,
+    entanglement_of_formation,
+    pairwise_concurrence_map,
+    reduce,
+)
 from .fits import c_fit, p_fit
 from .lattice import (
     ArrayGeometry,
@@ -66,7 +71,7 @@ from .manybody import (
     spectrum,
     thermal_excitation,
 )
-from .pendular import qubit_pair, solve_pendular
+from .pendular import MAX_X, qubit_pair, solve_pendular
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -272,6 +277,11 @@ def _sweep_plan(cfg, default, defaults, meta, header, row) -> TaskPlan:
         raise ConfigError("sweep: 'from' must be <= 'to'")
     if sweep.get("scale") == "log" and sweep["from"] <= 0:
         raise ConfigError("sweep/from: log scale needs a positive lower bound")
+    if axis == "x" and sweep["to"] > MAX_X:
+        raise ConfigError(
+            f"sweep/to: {sweep['to']} is greater than the maximum of {MAX_X},"
+            " the largest x at which a pendular solve is known to settle"
+        )
     space = np.geomspace if sweep.get("scale", "linear") == "log" else np.linspace
     values = [float(v) for v in space(sweep["from"], sweep["to"], sweep["points"])]
     defaults = {k: v for k, v in defaults.items() if k != axis}
@@ -362,7 +372,8 @@ def _plan_concurrences(cfg, params, *_) -> TaskPlan:
 
     def row(point):
         ground = _ground(float(point["x"]), geom, point["omega"], nn_only)
-        return [concurrence(reduce(ground, i, j)) for i, j in pairs]
+        cmap = pairwise_concurrence_map(ground, pairs)
+        return [cmap.value(i, j) for i, j in pairs]
 
     along_x = TASKS[cfg["task"]].axes == ("x",)
     default = (0.5, 8.0, 16, "linear") if along_x else OMEGA_LOG
@@ -398,18 +409,18 @@ def _plan_concurrence(cfg, params, *_) -> TaskPlan:
     if pairs:
         meta["pairs"] = _join(f"{i}-{j}" for i, j in pairs)
     else:
-        pairs = itertools.combinations(range(geom.n_sites), 2)
+        pairs = list(itertools.combinations(range(geom.n_sites), 2))
 
     def rows():
         coups = pair_couplings(geom, point["omega"], nn_only)
         h = build_hamiltonian(_qp(float(point["x"])), coups, geom.n_sites)
-        ground = spectrum(h, 1).eigenvectors[:, 0]
+        cmap = pairwise_concurrence_map(spectrum(h, 1).eigenvectors[:, 0], pairs)
         # (omega, cos alpha) by pair; a pair left out by nearest_neighbors_only
         # reads (0, 0), that is alpha = acos(0) = pi/2
         table = np.zeros((2, geom.n_sites, geom.n_sites))
         table[:, coups.i, coups.j] = coups.omega, coups.cos_alpha
         for pair in pairs:
-            c = concurrence(reduce(ground, *pair))
+            c = cmap.value(*pair)
             omega_ij, cos_ij = table[:, min(pair), max(pair)]
             yield [*pair, omega_ij, math.acos(cos_ij), c, entanglement_of_formation(c)]
 
@@ -639,6 +650,7 @@ def _array(items: dict, size: int | None = None, min_items: int = 1) -> dict:
 
 
 _NUMBER = {"type": "number"}
+_X = {"type": "number", "minimum": 0, "maximum": MAX_X}  # each x the planners read
 _COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_QUBITS}
 _PAIR = _array({"type": "integer", "minimum": 0}, 2)
 _PHASES = _array(_NUMBER, min_items=2)  # inline phases and a phases_file's list
@@ -680,7 +692,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "x": {"type": "number", "minimum": 0},
+                "x": _X,
                 "omega": {"type": "number", "minimum": 0},
                 "kt": {"type": "number", "minimum": 0},
                 "n": _COUNT,
@@ -688,7 +700,7 @@ CONFIG_SCHEMA = {
                 "rows": _COUNT,
                 "cols": _COUNT,
                 "n_values": _array(_COUNT),
-                "x_values": _array({"type": "number", "minimum": 0}),
+                "x_values": _array(_X),
                 "omega_values": _array({"type": "number", "minimum": 0}),
                 "pairs": _array(_PAIR),
                 "phases": _PHASES,

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
+
 _SYSY = np.array(
     [
         [0.0, 0.0, 0.0, -1.0],
@@ -30,6 +32,18 @@ class InvalidPairError(ValueError):
     """Pair indices coincide or fall outside the system."""
 
 
+def _check_density(m: np.ndarray) -> None:
+    """Reject a 4x4 complex matrix, or a stack of them, that is not a density matrix."""
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0) > 1e-12:
+        raise ValueError("reduced density matrix is not Hermitian within 1e-12")
+    trace = np.trace(m, axis1=-2, axis2=-1).ravel()
+    bad = np.flatnonzero((abs(trace.real - 1.0) > 1e-12) | (abs(trace.imag) > 1e-12))
+    if bad.size:
+        raise ValueError(f"trace must be 1 within 1e-12, got {trace[bad[0]]}")
+    if np.min(np.linalg.eigvalsh(m), initial=0.0) < -1e-10:
+        raise ValueError("reduced density matrix has an eigenvalue < -1e-10")
+
+
 @dataclass(frozen=True, eq=False)
 class ReducedDensity:
     """4x4 density matrix of a molecule pair in the {00, 01, 10, 11} basis."""
@@ -40,12 +54,7 @@ class ReducedDensity:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"reduced density matrix must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("reduced density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-            raise ValueError(f"trace must be 1 within 1e-12, got {np.trace(m)}")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
-            raise ValueError("reduced density matrix has an eigenvalue < -1e-10")
+        _check_density(m)
         object.__setattr__(self, "matrix", m)
 
 
@@ -56,6 +65,40 @@ def _infer_qubits(dim: int) -> int:
     return n
 
 
+def _state(state: np.ndarray) -> tuple[np.ndarray, int]:
+    """A normalized pure state as a float or complex vector, and its site count."""
+    arr = np.asarray(state)
+    arr = arr.astype(np.result_type(arr, 1.0), copy=False)  # a real state stays real
+    if arr.ndim != 1:
+        raise ValueError(f"expected a state vector, got shape {arr.shape}")
+    n = _infer_qubits(arr.shape[0])
+    if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
+        raise ValueError("state vector is not normalized within 1e-9")
+    return arr, n
+
+
+def _pair_densities(arr: np.ndarray, n: int, pairs) -> np.ndarray:
+    """The 4x4 partial traces of an n-site state onto each pair (i, j), unchecked.
+
+    Each pair's sites are moved to the front of one 2^n buffer that every
+    pair reuses.  A real state takes real products (conj() of a real array
+    is the array itself), half the bytes of complex ones.
+
+    Raises:
+        InvalidPairError: i = j or an index is out of range.
+    """
+    t = np.empty((4, arr.size // 4), dtype=arr.dtype)
+    rhos = np.empty((len(pairs), 4, 4), dtype=arr.dtype)
+    for rho, (i, j) in zip(rhos, pairs):
+        if i == j:
+            raise InvalidPairError(f"pair indices must differ, got ({i}, {j})")
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidPairError(f"pair ({i}, {j}) out of range for {n} sites")
+        np.copyto(t.reshape([2] * n), np.moveaxis(arr.reshape([2] * n), (i, j), (0, 1)))
+        np.matmul(t, t.conj().T, out=rho)
+    return rhos.astype(complex, copy=False)
+
+
 def reduce(state: np.ndarray, i: int, j: int) -> ReducedDensity:
     """Partial trace onto sites (i, j), all other sites summed out.
 
@@ -64,18 +107,9 @@ def reduce(state: np.ndarray, i: int, j: int) -> ReducedDensity:
     Raises:
         InvalidPairError: i = j or an index is out of range.
     """
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a state vector, got shape {arr.shape}")
-    n = _infer_qubits(arr.shape[0])
-    if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
-        raise ValueError("state vector is not normalized within 1e-9")
-    if i == j:
-        raise InvalidPairError(f"pair indices must differ, got ({i}, {j})")
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidPairError(f"pair ({i}, {j}) out of range for {n} sites")
-    t = np.moveaxis(arr.reshape([2] * n), (i, j), (0, 1)).reshape(4, -1)
-    return ReducedDensity(matrix=t @ t.conj().T)
+    with _blas.single_thread(2 * np.size(state)):
+        arr, n = _state(state)
+        return ReducedDensity(matrix=_pair_densities(arr, n, [(i, j)])[0])
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -84,15 +118,19 @@ def _as_matrix(rho) -> np.ndarray:
     return ReducedDensity(matrix=np.asarray(rho, dtype=complex)).matrix
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix, in [0, 1]."""
-    m = _as_matrix(rho)
+def _concurrences(m: np.ndarray) -> np.ndarray:
+    """Concurrence of a checked 4x4 density matrix, or of each of a stack."""
     # lambda_i from tau rather than from rho * rho_tilde: near product states
     # square roots of ~1e-16 eigenvalues would add ~1e-8 each
     w, v = np.linalg.eigh(m)
-    root = v * np.sqrt(np.clip(w, 0.0, None))
-    lam = np.linalg.svd(root.T @ _SYSY @ root, compute_uv=False)
-    return min(max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0), 1.0)
+    root = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    lam = np.linalg.svd(root.swapaxes(-1, -2) @ _SYSY @ root, compute_uv=False)
+    return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
+
+
+def concurrence(rho) -> float:
+    """Wootters concurrence of a two-qubit density matrix, in [0, 1]."""
+    return float(_concurrences(_as_matrix(rho)))
 
 
 def entanglement_of_formation(c: float) -> float:
@@ -127,13 +165,23 @@ def pairwise_concurrence_map(
     state: np.ndarray,
     pairs: list[tuple[int, int]] | None = None,
 ) -> ConcurrenceMap:
-    """Concurrence of every pair of the state (or a requested subset)."""
-    arr = np.asarray(state, dtype=complex)
-    n = _infer_qubits(arr.shape[0])
-    if pairs is None:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    entries = {
-        (min(i, j), max(i, j)): concurrence(reduce(arr, min(i, j), max(i, j)))
-        for i, j in pairs
-    }
-    return ConcurrenceMap(entries=entries, n_sites=n)
+    """Concurrence of every pair of the state (or a requested subset).
+
+    Each distinct pair (i, j), taken with i < j, gets its 4x4 density matrix
+    as `reduce` forms it, one pair at a time, so that one pair's 2^n copy is
+    held at once.  The checks, `eigh` and SVD then run once over the stack
+    of pairs, giving the bytes of concurrence(reduce(state, i, j)).
+
+    Raises:
+        InvalidPairError: a pair's indices coincide or fall out of range.
+        ValueError: the state is not a normalized vector of length 2^n.
+    """
+    with _blas.single_thread(2 * np.size(state)):
+        arr, n = _state(state)
+        if pairs is None:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keys = list(dict.fromkeys((min(i, j), max(i, j)) for i, j in pairs))
+        rhos = _pair_densities(arr, n, keys)
+    _check_density(rhos)
+    values = _concurrences(rhos).tolist()
+    return ConcurrenceMap(entries=dict(zip(keys, values)), n_sites=n)

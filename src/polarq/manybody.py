@@ -16,10 +16,12 @@ up to the 24-qubit cap.  Up to 14 qubits one builder, `_sector_block`, turns
 those parts into a dense block of H in a symmetry sector: the whole basis
 is the identity sector, whose block is `matrix`, and a mirror-symmetric
 array (every chain and square array) has two sectors under site reversal.
-The ground state comes from a certified Davidson iteration on `matrix`, and
-from ARPACK's Lanczos iteration on `apply` where the certificate fails or
-no dense matrix exists.  The full spectrum (`eigh`) and the lowest k >= 2
-pairs (LAPACK evr) are dense solves of the sector blocks up to 14 qubits.
+Up to 14 qubits the ground state comes from a certified Davidson iteration
+on a sector's table of entries (`_sector_table`, what `_sector_block`
+scatters), with no dense matrix, and from ARPACK's Lanczos iteration on
+`apply` where the certificate fails or above 14 qubits.  No solve reads
+`matrix`.  The full spectrum (`eigh`) and the lowest k >= 2 pairs (LAPACK
+evr) are dense solves of the sector blocks up to 14 qubits.
 Above 14 qubits only the lowest few pairs are available, from ARPACK, so
 thermal populations stop at 14 qubits.
 
@@ -126,7 +128,7 @@ class QubitHamiltonian:
     diag is H's diagonal and couplings the resolved (i, j, g) of each pair, a
     hashable tuple; apply forms H @ v from them at every size.  matrix is the
     same operator as a dense array, the identity sector's `_sector_block`,
-    built on first read for n <= 14, and None above.
+    built on first read for n <= 14, and None above; no solve reads it.
     """
 
     n: int
@@ -152,7 +154,7 @@ class QubitHamiltonian:
         if self.n > DENSE_LIMIT:
             return None
         flips = _flip_weights(self.qp, self.pair_g, list(range(self.n)))
-        return _sector_block(self, flips, *_identity_sector(self.n))
+        return _sector_block(*_sector_table(self, flips, *_identity_sector(self.n)))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """H @ v without materializing H; a flip of bit i reverses axis i."""
@@ -211,7 +213,7 @@ class Spectrum:
 
 
 def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
-    """The ground pair of a dense h by Davidson's iteration, or None.
+    """The ground pair of a dense-size h by Davidson's iteration, or None.
 
     It runs only when the diagonal certifies its answer.  s bounds every
     row's off-diagonal sum, so by Weyl each level lies within s of the
@@ -220,6 +222,13 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
     lowest Ritz value never rises above d1 < lambda_2, and a converged pair
     is the ground state, never an excited one.  The correction is
     r / (theta - diag); two Gram-Schmidt passes keep the basis orthonormal.
+
+    It iterates in the symmetric reflection sector when h is mirror
+    symmetric and d1's basis state is a palindrome, which is then that
+    sector's basis vector, so the certificate carries over; otherwise in
+    the identity sector.  H @ u is a gather over the sector's table, and
+    no dense matrix is built.  The converged vector is mapped back to the
+    2^n basis through the sector's row and coef.
 
     Returns None when the certificate fails, or when ||H u - theta u|| has
     not reached 2 eps max(|theta|, 1) within 50 steps or before a correction
@@ -234,33 +243,43 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
     d1, d2 = np.partition(h.diag, 1)[:2]
     if not d1 + s < d2 - s:  # written so that NaN fails it
         return None
-    basis = np.zeros((_DAVIDSON_STEPS + 1, h.dim))
-    images = np.zeros((_DAVIDSON_STEPS + 1, h.dim))  # rows of H @ basis
     start = int(np.argmin(h.diag))
-    basis[0, start] = 1.0
-    images[0] = h.matrix[start]
-    m = 1
+    reps, row, coef = _sectors(h)[0]
+    if coef[start] != 1.0:  # not a palindrome: its basis vector is in no sector
+        reps, row, coef = _identity_sector(h.n)
+    flips = _flip_weights(qp, h.pair_g, list(range(h.n)))
+    rows, vals = _sector_table(h, flips, reps, row, coef)
+    diag = h.diag[reps]
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        # a gather down each column: B^T u, which is B u for the symmetric block
+        return (vals * u[rows]).sum(0)
+
+    basis = np.zeros((1, reps.size))  # grown a row per step
+    basis[0, row[start]] = 1.0
+    images = apply(basis[0])[None]  # rows of H @ basis
     for _ in range(_DAVIDSON_STEPS):
-        w, y = np.linalg.eigh(basis[:m] @ images[:m].T)
+        w, y = np.linalg.eigh(basis @ images.T)
         theta = w[0]
-        u, hu = y[:, 0] @ basis[:m], y[:, 0] @ images[:m]
+        u, hu = y[:, 0] @ basis, y[:, 0] @ images
         r = hu - theta * u
         if np.linalg.norm(r) <= 2 * eps * max(abs(theta), 1.0):
-            return Spectrum(np.array([theta]), _fix_phases(u[:, None]), h.dim)
-        t = r / np.minimum(theta - h.diag, -eps)
-        t -= (basis[:m] @ t) @ basis[:m]
+            ground = _fix_phases((u[row] * coef)[:, None])
+            return Spectrum(np.array([theta]), ground, h.dim)
+        t = r / np.minimum(theta - diag, -eps)
+        t -= (basis @ t) @ basis
         first = np.linalg.norm(t)
-        t -= (basis[:m] @ t) @ basis[:m]
+        t -= (basis @ t) @ basis
         norm = np.linalg.norm(t)
         # a second pass that removes most of what the first one left means t
-        # lay in the basis up to rounding (the basis spans the whole space, or
-        # a symmetry sector that rounding cannot leave); what is left of t is
-        # then not orthogonal to the basis, or exactly 0
+        # lay in the basis up to rounding (the basis spans the whole sector,
+        # or a smaller symmetry sector that rounding cannot leave); what is
+        # left of t is then not orthogonal to the basis, or exactly 0
         if not norm > first / 2:
             return None
-        basis[m] = t / norm
-        images[m] = h.matrix @ basis[m]
-        m += 1
+        t /= norm
+        basis = np.vstack([basis, t])
+        images = np.vstack([images, apply(t)])
     return None
 
 
@@ -304,19 +323,31 @@ def _reflection_sectors(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(sectors)
 
 
-def _sector_block(
+def _sectors(h: QubitHamiltonian) -> list[tuple[np.ndarray, ...]]:
+    """h's symmetry sectors, each a (reps, row, coef) table.
+
+    The two reversal sectors (the symmetric one first) when pair_g equals
+    its reverse on both axes bit for bit (reversal maps each r_ij to -r_ij,
+    which leaves g_ij unchanged), else the one identity sector.
+    """
+    if np.array_equal(h.pair_g, h.pair_g[::-1, ::-1]):
+        return [s for s in _reflection_sectors(h.n) if s[0].size]
+    return [_identity_sector(h.n)]
+
+
+def _sector_table(
     h: QubitHamiltonian, flips: np.ndarray, reps: np.ndarray, row: np.ndarray,
     coef: np.ndarray,
-) -> np.ndarray:
-    """H in one symmetry sector, from H's columns at the representatives.
+) -> tuple[np.ndarray, np.ndarray]:
+    """H's block in one symmetry sector, as (rows, vals) of its columns.
 
-    The only dense builder: `matrix` is the identity sector's block.  Column
-    c of H holds the diagonal, n single flips and one double flip per pair.
-    Since H commutes with the sector's symmetry, the block element between
-    the basis vectors of representatives a and c is sum_x coef[x] H[x, c] /
-    coef[c] over the orbit of a, so one bincount over those (1 + n + pairs)
-    entries per column builds the block.  In the identity sector each entry
-    lands alone in its bin, times 1.0, so the block is H bit for bit.
+    Column c of H holds the diagonal, n single flips and one double flip per
+    pair.  Since H commutes with the sector's symmetry, the block element
+    between the basis vectors of representatives a and c is sum_x coef[x]
+    H[x, c] / coef[c] over the orbit of a.  So block column c holds
+    vals[:, c], one entry for each of those (1 + n + pairs) terms, in the
+    block rows rows[:, c]; entries that share a row add up.  In the identity
+    sector each entry has a row of its own, and vals are H's entries.
     """
     n, m = h.n, reps.size
     bit = [1 << (n - 1 - i) for i in range(n)]
@@ -325,29 +356,41 @@ def _sector_block(
     pair_rows = np.broadcast_to(pair_flip[:, None], (pair_flip.size, m))
     values = np.concatenate([h.diag[None, reps], flips[:, reps], pair_rows])
     x = reps ^ masks[:, None]
-    weights = values * (coef[x] / coef[reps])
-    bins = row[x] * m + np.arange(m)
-    return np.bincount(bins.ravel(), weights.ravel(), minlength=m * m).reshape(m, m)
+    if row is reps:  # the identity sector: x is its own row, and coef is 1
+        return x, values
+    return row[x], values * (coef[x] / coef[reps])
+
+
+def _sector_block(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The dense block of a sector table, Fortran-ordered.
+
+    The only dense builder: `matrix` is the identity sector's block.  One
+    bincount over the table adds each entry into its bin; in the identity
+    sector each bin takes one entry, so the block is H bit for bit.  The
+    bins run column by column, so LAPACK takes the block as it is and may
+    overwrite it: no copy of the largest array of a dense solve.
+    """
+    m = rows.shape[1]
+    bins = np.arange(m) * m + rows  # entry (r, c) at c m + r
+    return np.bincount(bins.ravel(), vals.ravel(), minlength=m * m).reshape(m, m).T
 
 
 def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
     """The lowest k pairs of a dense h, or all, solved sector by sector.
 
-    h takes its two reversal sectors when pair_g equals its reverse on both
-    axes bit for bit (reversal maps each r_ij to -r_ij, which leaves g_ij
-    unchanged), and the one identity sector otherwise.  Each block is built
-    just before its solve, so no two are held at once: `eigh` for all levels,
-    LAPACK evr for the lowest k (all of a block smaller than k).  The levels
-    are merged and each eigenvector is mapped back to the 2^n basis through
-    its sector's coefficients, _COLUMN_BLOCK columns at a time.  The solves
-    share one thread-count block, entered after scipy's import so that it
-    steers scipy's BLAS too.
+    Each of h's sectors (`_sectors`) is built just before its solve, so no
+    two blocks are held at once: `eigh` for all levels, LAPACK evr for the
+    lowest k (all of a block smaller than k), which overwrites the block in
+    place.  The levels are merged and each eigenvector is mapped back to the
+    2^n basis through its sector's coefficients, _COLUMN_BLOCK columns at a
+    time.  The solves share one thread-count block, entered after scipy's
+    import so that it steers scipy's BLAS too.
     """
-    if np.array_equal(h.pair_g, h.pair_g[::-1, ::-1]):
-        sectors = [s for s in _reflection_sectors(h.n) if s[0].size]
-    else:
-        sectors = [_identity_sector(h.n)]
+    sectors = _sectors(h)
     if k == "all":
+        # numpy's eigh copies the block, where scipy's could overwrite it,
+        # but importing scipy.linalg (0.2 s) would slow every run of fig4b,
+        # thermal and sweep, which need no other part of scipy
         solve = np.linalg.eigh
     else:
         # scipy is imported here and before ARPACK, not at module level:
@@ -356,11 +399,12 @@ def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
         import scipy.linalg
 
         def solve(a):
-            return scipy.linalg.eigh(a, subset_by_index=[0, min(int(k), len(a)) - 1])
+            last = min(int(k), len(a)) - 1
+            return scipy.linalg.eigh(a, subset_by_index=[0, last], overwrite_a=True)
 
     flips = _flip_weights(h.qp, h.pair_g, list(range(h.n)))
     with _blas.single_thread(max(s[0].size for s in sectors) ** 2):
-        solved = [solve(_sector_block(h, flips, *s)) for s in sectors]
+        solved = [solve(_sector_block(*_sector_table(h, flips, *s))) for s in sectors]
     levels = np.concatenate([w for w, _ in solved])
     order = np.argsort(levels, kind="stable")[: h.dim if k == "all" else int(k)]
     vectors, start = np.empty((h.dim, order.size)), 0
@@ -377,10 +421,12 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     """Lowest k eigenpairs of h, or all of them.
 
     k = 1, the ground state, is |00...0> up to small corrections wherever
-    Omega << dw.  On the dense matrix, up to 14 qubits, it comes from
-    Davidson's diagonal-preconditioned iteration started from the basis vector
-    of the lowest diagonal entry: 2-4 matrix-vector products at n = 9 in the
-    paper's regime, and exactly |00...0> at Omega = 0.  Davidson runs only
+    Omega << dw.  Up to 14 qubits it comes from Davidson's
+    diagonal-preconditioned iteration started from the basis vector of the
+    lowest diagonal entry: 2-4 products at n = 9 in the paper's regime, and
+    exactly |00...0> at Omega = 0.  Each product is a gather over a sector's
+    table of H's entries, in the symmetric reversal block of a
+    mirror-symmetric array; no dense matrix is built.  Davidson runs only
     where the diagonal certifies that it converges to the ground state and not
     to an excited one (see `_davidson_ground`).  Where the couplings are too
     strong for that (in some arrays from Omega/B = 0.3 on), or where it does

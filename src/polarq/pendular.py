@@ -20,6 +20,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 J_MAX_LIMIT = 200
+# The largest reduced field a config may ask for: x = 1e6 settles by j_max 176,
+# while from about 1.8e6 on dw does not settle by J_MAX_LIMIT
+MAX_X = 1e6
 
 
 class ConvergenceError(RuntimeError):

@@ -317,6 +317,22 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             {"task": "compile-diagonal", "parameters": {"phases_file": "bad.txt"}},
             "bad.txt: 'x' is not a number",
         ),
+        # fields beyond x = 1e6, where solve_pendular would not settle by j_max 200
+        (
+            {"task": "thermal", "parameters": {"x": 1e7}},
+            "parameters/x: 10000000.0 is greater than the maximum of 1000000.0",
+        ),
+        (
+            {"task": "fig3b", "parameters": {"x_values": [2.0, 2e6]}},
+            "parameters/x_values/1: 2000000.0 is greater than the maximum",
+        ),
+        (
+            {
+                "task": "fig5b",
+                "sweep": {"parameter": "x", "from": 1.0, "to": 2e6, "points": 3},
+            },
+            "sweep/to: 2000000.0 is greater than the maximum of 1000000.0",
+        ),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -373,6 +389,9 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg50-grid graph of 25 columns",
         "cfg51-sweep of more than a million points",
         "cfg52-phases_file entry not a number",
+        "cfg53-thermal x above 1e6",
+        "cfg54-fig3b x_values above 1e6",
+        "cfg55-fig5b x sweep above 1e6",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, monkeypatch, cfg, needle):

@@ -5,6 +5,8 @@ independent oracle for the spin-flip computation, and Werner
 states pin the mixed-state branch analytically.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from polarq import (
     pairwise_concurrence_map,
     reduce,
     spectrum,
+    square_array,
 )
 from polarq.entangle import InvalidPairError, ReducedDensity
 
@@ -167,6 +170,52 @@ def test_ground_pair_matches_reduced_concurrence(chain_spectrum):
     cmap = pairwise_concurrence_map(ground)
     direct = concurrence(reduce(ground, 0, 1).matrix)
     assert cmap.value(0, 1) == pytest.approx(direct, abs=1e-14)
+
+
+@pytest.mark.parametrize("omega", [1e-5, 1e-3])
+@pytest.mark.parametrize(
+    "geom", [linear_array(9), square_array(3, 3)], ids=["fig5a", "fig6a"]
+)
+def test_map_gives_the_bytes_of_each_pair_alone(qp, geom, omega):
+    # the default ground states of fig5a and fig6a at both ends of their sweep;
+    # a reversed or repeated pair reads the entry of (min, max)
+    h = build_hamiltonian(qp(2.0), pair_couplings(geom, omega), 9)
+    ground = spectrum(h, 1).eigenvectors[:, 0]
+    pairs = [(0, k) for k in range(1, 9)] + [(5, 2), (0, 1), (8, 0), (3, 4), (4, 3)]
+    cmap = pairwise_concurrence_map(ground, pairs)
+    assert len(cmap.entries) == 10
+    for i, j in pairs:
+        alone = concurrence(reduce(ground, min(i, j), max(i, j)))
+        assert np.float64(cmap.value(i, j)).tobytes() == np.float64(alone).tobytes()
+    full = pairwise_concurrence_map(ground)
+    assert len(full.entries) == 36
+    assert all(full.entries[key] == value for key, value in cmap.entries.items())
+
+
+def test_map_rejects_bad_pairs_and_states():
+    state = np.zeros(8)
+    state[0] = 1.0
+    for pairs in ([(0, 1), (2, 2)], [(0, 3)], [(-1, 2)]):
+        with pytest.raises(InvalidPairError):
+            pairwise_concurrence_map(state, pairs)
+    with pytest.raises(ValueError, match="normalized"):
+        pairwise_concurrence_map(2 * state, [(0, 1)])
+
+
+def test_map_holds_one_pair_copy_at_a_time():
+    # 120 pairs at n = 16: a stack of their 2^n copies would take 120 MiB
+    n = 16
+    state = np.random.default_rng(1).normal(size=1 << n)
+    state /= np.linalg.norm(state)
+    tracemalloc.start()
+    try:
+        cmap = pairwise_concurrence_map(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cmap.entries) == 120
+    # the complex copy of the state, one pair's copy, and its conjugate
+    assert peak < 4 * (16 << n)
 
 
 @settings(deadline=None, max_examples=60)

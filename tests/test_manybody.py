@@ -236,14 +236,14 @@ def assert_matches_dense(h, spec, reference):
 )
 def test_mirror_symmetric_arrays_solve_in_reflection_blocks(qp, geom, monkeypatch):
     solves, sizes = [], []
-    real_spectrum, real_block = manybody._sector_spectrum, manybody._sector_block
+    real_spectrum, real_table = manybody._sector_spectrum, manybody._sector_table
     monkeypatch.setattr(
         manybody, "_sector_spectrum", lambda h, k: solves.append(k) or real_spectrum(h, k)
     )
     monkeypatch.setattr(
         manybody,
-        "_sector_block",
-        lambda h, flips, *s: sizes.append(s[0].size) or real_block(h, flips, *s),
+        "_sector_table",
+        lambda h, flips, *s: sizes.append(s[0].size) or real_table(h, flips, *s),
     )
     n = geom.n_sites
     half = 1 << ((n + 1) // 2)
@@ -388,6 +388,33 @@ def test_certified_dense_ground_state_needs_no_arpack(qp, eigsh_calls, monkeypat
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(6), 1e-3), 6)
     spectrum(h, 1)
     assert eigsh_calls == []
+
+
+def test_dense_size_ground_state_builds_no_dense_matrix(qp, eigsh_calls):
+    # Davidson iterates on a sector's table: the symmetric reflection sector
+    # of the chains and the square, the identity sector of a custom array
+    # without mirror symmetry.  The references are the full spectrum at 9
+    # sites and ARPACK on apply at 12 and 13, where a full spectrum takes
+    # 3.7 s and a minute
+    custom = custom_array([[k, 0.1 * (k % 3) * (k % 5), 0] for k in range(13)])
+    for geom in (linear_array(9), square_array(3, 3), linear_array(12), custom):
+        h = build_hamiltonian(qp(2.0), pair_couplings(geom, 1e-3), geom.n_sites)
+        ground = spectrum(h, 1)
+        assert "matrix" not in vars(h)
+        assert eigsh_calls == []
+        if h.n <= 9:
+            reference = spectrum(h, "all")
+            e0, vector = reference.eigenvalues[0], reference.eigenvectors[:, 0]
+        else:
+            op = scipy.sparse.linalg.LinearOperator((h.dim,) * 2, h.apply, dtype=float)
+            w, v = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=0.0)
+            e0, vector = w[0], _fix_phases(v)[:, 0]
+            eigsh_calls.clear()
+        assert "matrix" not in vars(h)
+        # no looser than the strong-coupling test above: |E0| is at most its
+        # scale, and 1e-10 its vector tolerance where the gap is not small
+        assert abs(ground.eigenvalues[0] - e0) <= 1e-12 * abs(e0)
+        assert np.max(np.abs(ground.eigenvectors[:, 0] - vector)) <= 1e-10, geom
 
 
 def test_uncertified_ground_state_runs_arpack_on_apply(qp, eigsh_calls, monkeypatch):

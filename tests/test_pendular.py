@@ -112,6 +112,13 @@ def test_convergence_failure_at_low_cap(monkeypatch):
         solve_pendular(40.0)
 
 
+def test_largest_accepted_field_converges():
+    # configs may ask for x up to MAX_X; beyond it (here 2e6) dw does not settle
+    assert solve_pendular(pendular_mod.MAX_X).j_max <= pendular_mod.J_MAX_LIMIT
+    with pytest.raises(ConvergenceError):
+        solve_pendular(2 * pendular_mod.MAX_X)
+
+
 def test_sign_convention_dominant_component_positive():
     for x in (0.5, 2.0, 4.9, 8.0):
         sol = solve_pendular(x)
