@@ -202,10 +202,13 @@ def test_map_rejects_bad_pairs_and_states():
         pairwise_concurrence_map(2 * state, [(0, 1)])
 
 
-def test_map_holds_one_pair_copy_at_a_time():
-    # 120 pairs at n = 16: a stack of their 2^n copies would take 120 MiB
+@pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+def test_map_holds_one_pair_copy_at_a_time(imag):
+    # 120 pairs at n = 16: a stack of their 2^n copies would take 120 times
+    # the state's size
     n = 16
-    state = np.random.default_rng(1).normal(size=1 << n)
+    rng = np.random.default_rng(1)
+    state = rng.normal(size=1 << n) + imag * 1j * rng.normal(size=1 << n)
     state /= np.linalg.norm(state)
     tracemalloc.start()
     try:
@@ -214,8 +217,8 @@ def test_map_holds_one_pair_copy_at_a_time():
     finally:
         tracemalloc.stop()
     assert len(cmap.entries) == 120
-    # the complex copy of the state, one pair's copy, and its conjugate
-    assert peak < 4 * (16 << n)
+    # one buffer for the pair's copy, and a complex copy's conjugate
+    assert peak < 3 * state.nbytes
 
 
 @settings(deadline=None, max_examples=60)
