@@ -78,11 +78,12 @@ def _state(state: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _pair_densities(arr: np.ndarray, n: int, pairs) -> np.ndarray:
-    """The 4x4 partial traces of an n-site state onto each pair (i, j), unchecked.
+    """The 4x4 partial traces of an n-site state onto each pair (i, j).
 
     Each pair's sites are moved to the front of one 2^n buffer that every
     pair reuses.  A real state takes real products (conj() of a real array
-    is the array itself), half the bytes of complex ones.
+    is the array itself), half the bytes of complex ones.  The callers check
+    that the results are density matrices.
 
     Raises:
         InvalidPairError: i = j or an index is out of range.
