@@ -22,8 +22,10 @@ numpy and scipy each bundle their own OpenBLAS, and each exports its
 thread controls.  They are looked up on first use through the handle of
 an extension module that links the library (dlsym on a handle searches
 its dependencies too), and scipy's only once scipy.linalg has been
-imported: no library is loaded just to set its threads.  A BLAS without
-these symbols leaves every call on its own thread count.
+imported: no library is loaded just to set its threads.  Every dense
+solve is numpy's, so scipy's count matters only to ARPACK, whose import
+of scipy.sparse.linalg loads scipy.linalg before its block is entered.
+A BLAS without these symbols leaves every call on its own thread count.
 """
 
 from __future__ import annotations

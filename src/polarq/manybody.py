@@ -20,14 +20,14 @@ Up to 14 qubits the ground state comes from a certified Davidson iteration
 on a sector's table of entries (`_sector_table`, what `_sector_block`
 scatters), with no dense matrix, and from ARPACK's Lanczos iteration on
 `apply` where the certificate fails or above 14 qubits.  No solve reads
-`matrix`.  The full spectrum (`eigh`) and the lowest k >= 2 pairs (LAPACK
-evr) are dense solves of the sector blocks up to 14 qubits.
-Above 14 qubits only the lowest few pairs are available, from ARPACK, so
-thermal populations stop at 14 qubits.
+`matrix`.  The lowest k >= 2 levels, or all of them, are `eigvalsh` of the
+sector blocks up to 14 qubits: levels only, with no eigenvector.
+Above 14 qubits only the lowest few levels are available, from ARPACK, so
+thermal populations stop at 14 qubits.  Every spectrum carries the ground
+state alone; a dense level solve solves it on first read.
 
-scipy is imported only by the two solves that use it: scipy.linalg by the
-partial dense solve (k >= 2: the gap task and fig4a), scipy.sparse.linalg by
-ARPACK.  Importing this module loads no part of scipy.
+scipy is imported only by ARPACK (scipy.sparse.linalg).  Importing this
+module, and every dense solve, loads no part of scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +52,6 @@ _PROBABILITY_FLOOR = 1e-300
 
 # Davidson's dense ground-state iteration: steps before it hands over to ARPACK.
 _DAVIDSON_STEPS = 50
-# Eigenvector columns mapped back per step: 32 MiB of temporaries at n = 14,
-# where one temporary as large as the 2^n x 2^n result would take 2 GiB.
-_COLUMN_BLOCK = 256
 
 
 class CapacityError(ValueError):
@@ -196,24 +194,30 @@ def build_hamiltonian(
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ascending eigenvalues and orthonormal eigenvector columns.
+    """Ascending eigenvalues, and the ground state as a (dim, 1) column.
 
     dim records the full state-space size so consumers can tell a partial
-    spectrum from a complete one.  Eigenvector phases are fixed by making the
-    largest-magnitude amplitude positive.
+    spectrum from a complete one.  eigenvectors holds the ground state only,
+    with its largest-magnitude amplitude made positive: nothing reads an
+    excited one.  It is solved on first read, by _ground (a dense level
+    solve leaves it to Davidson or ARPACK), and kept.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     dim: int
+    _ground: Callable[[], np.ndarray] = field(repr=False)
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return self._ground()
 
     @property
     def complete(self) -> bool:
         return len(self.eigenvalues) == self.dim
 
 
-def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
-    """The ground pair of a dense-size h by Davidson's iteration, or None.
+def _davidson_ground(h: QubitHamiltonian) -> tuple[float, np.ndarray] | None:
+    """The ground level and column of a dense-size h by Davidson, or None.
 
     It runs only when the diagonal certifies its answer.  s bounds every
     row's off-diagonal sum, so by Weyl each level lies within s of the
@@ -264,8 +268,7 @@ def _davidson_ground(h: QubitHamiltonian) -> Spectrum | None:
         u, hu = y[:, 0] @ basis, y[:, 0] @ images
         r = hu - theta * u
         if np.linalg.norm(r) <= 2 * eps * max(abs(theta), 1.0):
-            ground = _fix_phases((u[row] * coef)[:, None])
-            return Spectrum(np.array([theta]), ground, h.dim)
+            return theta, _fix_phases((u[row] * coef)[:, None])
         t = r / np.minimum(theta - diag, -eps)
         t -= (basis @ t) @ basis
         first = np.linalg.norm(t)
@@ -365,10 +368,9 @@ def _sector_block(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The dense block of a sector table, Fortran-ordered.
 
     The only dense builder: `matrix` is the identity sector's block.  One
-    bincount over the table adds each entry into its bin; in the identity
-    sector each bin takes one entry, so the block is H bit for bit.  The
-    bins run column by column, so LAPACK takes the block as it is and may
-    overwrite it: no copy of the largest array of a dense solve.
+    bincount over the table adds each entry into its bin, column by column;
+    in the identity sector each bin takes one entry, so the block is H bit
+    for bit.
     """
     m = rows.shape[1]
     bins = np.arange(m) * m + rows  # entry (r, c) at c m + r
@@ -376,49 +378,62 @@ def _sector_block(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
-    """The lowest k pairs of a dense h, or all, solved sector by sector.
+    """The lowest k levels of a dense h, or all, solved sector by sector.
 
-    Each of h's sectors (`_sectors`) is built just before its solve, so no
-    two blocks are held at once: `eigh` for all levels, LAPACK evr for the
-    lowest k (all of a block smaller than k), which overwrites the block in
-    place.  The levels are merged and each eigenvector is mapped back to the
-    2^n basis through its sector's coefficients, _COLUMN_BLOCK columns at a
-    time.  The solves share one thread-count block, entered after scipy's
-    import so that it steers scipy's BLAS too.
+    Each of h's sectors (`_sectors`) is built just before its `eigvalsh`, so
+    no two blocks are held at once, and no eigenvector is computed.  The
+    levels are merged by a stable sort.  The solves share one thread-count
+    block.  The ground column is left to `_ground`, on first read.
     """
     sectors = _sectors(h)
-    if k == "all":
-        # numpy's eigh copies the block, where scipy's could overwrite it,
-        # but importing scipy.linalg (0.2 s) would slow every run of fig4b,
-        # thermal and sweep, which need no other part of scipy
-        solve = np.linalg.eigh
-    else:
-        # scipy is imported here and before ARPACK, not at module level:
-        # scipy.linalg with scipy.sparse.linalg cost 0.27 s of the 0.60 s
-        # `import polarq.cli` (2 vCPUs), and most runs call neither
-        import scipy.linalg
-
-        def solve(a):
-            last = min(int(k), len(a)) - 1
-            return scipy.linalg.eigh(a, subset_by_index=[0, last], overwrite_a=True)
-
     flips = _flip_weights(h.qp, h.pair_g, list(range(h.n)))
     with _blas.single_thread(max(s[0].size for s in sectors) ** 2):
-        solved = [solve(_sector_block(*_sector_table(h, flips, *s))) for s in sectors]
-    levels = np.concatenate([w for w, _ in solved])
-    order = np.argsort(levels, kind="stable")[: h.dim if k == "all" else int(k)]
-    vectors, start = np.empty((h.dim, order.size)), 0
-    for _, row, coef in sectors:
-        w, v = solved.pop(0)  # dropped once its columns are mapped
-        mine = np.flatnonzero((order >= start) & (order < start + w.size))
-        for c in np.split(mine, range(_COLUMN_BLOCK, mine.size, _COLUMN_BLOCK)):
-            vectors[:, c] = _fix_phases(v[:, order[c] - start][row] * coef[:, None])
-        start += w.size
-    return Spectrum(levels[order], vectors, h.dim)
+        levels = [
+            np.linalg.eigvalsh(_sector_block(*_sector_table(h, flips, *s)))
+            for s in sectors
+        ]
+    levels = np.sort(np.concatenate(levels), kind="stable")
+    count = h.dim if k == "all" else int(k)
+    return Spectrum(levels[:count], h.dim, lambda: _ground(h)[1])
+
+
+def _ground(h: QubitHamiltonian) -> tuple[float, np.ndarray]:
+    """h's ground level and (dim, 1) column: Davidson if certified, else ARPACK."""
+    if h.n <= DENSE_LIMIT:
+        # the operand is H (or a sector block of it), 4^n doubles whether
+        # stored or applied, so up to 9 qubits it runs on one BLAS thread
+        with _blas.single_thread(h.dim**2):
+            ground = _davidson_ground(h)
+        if ground is not None:
+            return ground
+    levels, column = _arpack(h, 1)
+    return levels[0], column
+
+
+def _arpack(h: QubitHamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest k levels of h by ARPACK on `apply`, and the ground column."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    op = LinearOperator((h.dim, h.dim), matvec=h.apply, dtype=float)
+    v0 = np.full(h.dim, 1.0 / np.sqrt(h.dim))
+    try:
+        with _blas.single_thread(h.dim**2):
+            w, v = eigsh(op, k=k, which="SA", v0=v0)
+    except ArpackNoConvergence as exc:
+        residuals = [
+            float(np.linalg.norm(h.apply(vec) - val * vec))
+            for val, vec in zip(exc.eigenvalues, exc.eigenvectors.T)
+        ]
+        raise SolverError(
+            f"eigensolver converged only {len(exc.eigenvalues)}/{k} pairs; "
+            f"residuals of the converged ones: {residuals}"
+        ) from exc
+    order = np.argsort(w)
+    return w[order], _fix_phases(v[:, order[:1]])
 
 
 def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
-    """Lowest k eigenpairs of h, or all of them.
+    """Lowest k levels of h, or all of them, and h's ground state.
 
     k = 1, the ground state, is |00...0> up to small corrections wherever
     Omega << dw.  Up to 14 qubits it comes from Davidson's
@@ -435,12 +450,14 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     superposition.  Davidson above 14 qubits would move the counts of the
     benchmark's `chain_ground` workload, so it waits for that benchmark.
 
-    k = "all" is a dense `eigh` and needs n <= 14.  An integer k >= 2 is a
-    partial dense solve (LAPACK evr) up to 14 qubits and ARPACK above.  Where
-    the pair couplings are unchanged by reversing the site order (g_ij =
+    k = "all" and an integer k >= 2 are levels only, `eigvalsh` of dense
+    blocks, up to 14 qubits; "all" needs n <= 14, and k >= 2 is ARPACK
+    above.  Every result's eigenvectors is the ground column alone, which a
+    dense level solve solves on first read as k = 1 does.  Where the pair
+    couplings are unchanged by reversing the site order (g_ij =
     g_{n-1-i, n-1-j} bit for bit; every chain and every row-major square
     array, whatever the field direction, since reversal maps r_ij to -r_ij),
-    H commutes with that reversal.  Both dense solves then run on its
+    H commutes with that reversal.  The level solve then runs on its
     symmetric and antisymmetric blocks of (2^n +- 2^ceil(n/2))/2 states:
     about a quarter of the work of one solve of the whole H.  Other arrays,
     such as most custom geometries, solve the one block of the identity
@@ -450,9 +467,9 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     Omega = 0, which makes H diagonal), ARPACK continues from a random vector
     drawn from one generator per process.  The ground state already lies in
     the closed space, so k = 1 gives the same bytes whatever the process
-    solved before.  The next pairs need the random part, which would make
+    solved before.  The next levels need the random part, which would make
     fig4a's Omega = 0 row differ between reruns, so dense k >= 2 stays on
-    evr.
+    `eigvalsh`.
 
     Raises:
         ValueError: k is neither "all" nor an integer in [1, 2^n]; above 14
@@ -475,33 +492,13 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
             )
     elif k != "all" and not 1 <= k <= h.dim:
         raise ValueError(f"k must be in [1, {h.dim}], got {k}")
-    # each solve's operand is H (or a sector block of it), 4^n doubles
-    # whether stored or applied, so up to 9 qubits it runs on one BLAS thread
-    if dense and k == 1:
-        with _blas.single_thread(h.dim**2):
-            ground = _davidson_ground(h)
-        if ground is not None:
-            return ground
-    if dense and k != 1:
+    if k == 1:
+        level, column = _ground(h)
+        return Spectrum(np.array([level]), h.dim, lambda: column)
+    if dense:
         return _sector_spectrum(h, k)
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    op = LinearOperator((h.dim, h.dim), matvec=h.apply, dtype=float)
-    v0 = np.full(h.dim, 1.0 / np.sqrt(h.dim))
-    try:
-        with _blas.single_thread(h.dim**2):
-            w, v = eigsh(op, k=int(k), which="SA", v0=v0)
-    except ArpackNoConvergence as exc:
-        residuals = [
-            float(np.linalg.norm(h.apply(vec) - val * vec))
-            for val, vec in zip(exc.eigenvalues, exc.eigenvectors.T)
-        ]
-        raise SolverError(
-            f"eigensolver converged only {len(exc.eigenvalues)}/{k} pairs; "
-            f"residuals of the converged ones: {residuals}"
-        ) from exc
-    order = np.argsort(w)
-    return Spectrum(w[order], _fix_phases(v[:, order]), h.dim)
+    levels, column = _arpack(h, int(k))
+    return Spectrum(levels, h.dim, lambda: column)
 
 
 def p_not_all_zero(ground: np.ndarray) -> float:

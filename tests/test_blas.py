@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg  # loads scipy's OpenBLAS, so that both are steered
-import scipy.sparse.linalg
+import scipy.sparse.linalg  # loads scipy's OpenBLAS, so that both are steered
 
 import polarq
 from polarq import _blas, build_hamiltonian, linear_array, pair_couplings, spectrum
@@ -59,11 +58,11 @@ def spy(monkeypatch, owner, name, counts, seen, raises=None):
     "k, omega, solver",
     [
         (1, 1e-3, (np.linalg, "eigh")),  # Davidson's Rayleigh-Ritz step
-        ("all", 1e-3, (np.linalg, "eigh")),
-        (2, 1e-3, (scipy.linalg, "eigh")),  # evr
+        ("all", 1e-3, (np.linalg, "eigvalsh")),
+        (2, 1e-3, (np.linalg, "eigvalsh")),
         (1, 1.0, (QubitHamiltonian, "apply")),  # uncertified: ARPACK
     ],
-    ids=["davidson", "eigh", "evr", "arpack"],
+    ids=["davidson", "levels-all", "levels-2", "arpack"],
 )
 @pytest.mark.parametrize("n", [3, 9])
 def test_small_solves_run_on_one_thread(qp, counts, monkeypatch, n, k, omega, solver):
@@ -100,11 +99,10 @@ def test_without_thread_controls_solves_run_as_before(qp, counts, monkeypatch):
     steered = spectrum(h, "all")
     monkeypatch.setattr(_blas, "thread_controls", lambda module, suffix: None)
     seen = []
-    spy(monkeypatch, np.linalg, "eigh", counts, seen)
+    spy(monkeypatch, np.linalg, "eigvalsh", counts, seen)
     plain = spectrum(h, "all")
-    assert seen == [[2] * len(seen[0])] * 2  # one eigh per reflection block
+    assert seen == [[2] * len(seen[0])] * 2  # one eigvalsh per reflection block
     np.testing.assert_allclose(plain.eigenvalues, steered.eigenvalues, rtol=1e-13)
-    # the chain's mirror symmetry leaves the excited eigenvectors free to rotate
     ground = plain.eigenvectors[:, 0], steered.eigenvectors[:, 0]
     np.testing.assert_allclose(*ground, atol=1e-12)
 
@@ -120,28 +118,31 @@ def test_state_vector_reductions_run_on_one_thread(counts, monkeypatch):
     assert counts() == [2] * len(seen[0])
 
 
-def test_first_evr_of_a_process_runs_on_one_thread():
-    # scipy's OpenBLAS is loaded by the solve itself, so the spy is a profile
-    # hook that reads its count when scipy.linalg.eigh is entered
+def test_first_solves_of_a_process_run_on_one_thread():
+    # a dense level solve loads no scipy, and the first ARPACK solve of a
+    # process loads scipy's OpenBLAS on import, before its block is entered;
+    # the spy is a profile hook that reads the counts as each solver starts
     code = (
         "import sys\n"
         "from polarq import _blas, build_hamiltonian, linear_array,"
         " pair_couplings, qubit_pair, solve_pendular, spectrum\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
         "seen = []\n"
         "def hook(frame, event, arg):\n"
-        "    code = frame.f_code\n"
-        "    if event == 'call' and code.co_name == 'eigh'"
-        " and 'scipy' in code.co_filename:\n"
+        "    name = frame.f_code.co_name\n"
+        "    if event == 'call' and name in ('eigvalsh', 'eigsh'):\n"
         "        seen.append([get() for get, _ in _blas.loaded_controls()])\n"
         "before = [get() for get, _ in _blas.loaded_controls()]\n"
-        "h = build_hamiltonian(qubit_pair(solve_pendular(2.0)),"
-        " pair_couplings(linear_array(6), 1e-3), 6)\n"
-        "sys.setprofile(hook)\n"
-        "spectrum(h, 2)\n"
-        "sys.setprofile(None)\n"
+        "qp = qubit_pair(solve_pendular(2.0))\n"
+        "for omega in (1e-3, 30.0):\n"
+        "    h = build_hamiltonian(qp, pair_couplings(linear_array(6), omega), 6)\n"
+        "    sys.setprofile(hook)\n"
+        "    spectrum(h, 2 if omega < 1 else 1)  # levels, then uncertified: ARPACK\n"
+        "    sys.setprofile(None)\n"
+        "    print(seen, 'scipy' in sys.modules)\n"
+        "    seen = []\n"
         "after = [get() for get, _ in _blas.loaded_controls()]\n"
-        "print(before, seen, after, sep='\\n')\n"
+        "print(before, after, sep='\\n')\n"
     )
     src = str(Path(polarq.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -150,8 +151,10 @@ def test_first_evr_of_a_process_runs_on_one_thread():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=env,
     )
-    before, seen, after = map(ast.literal_eval, out.stdout.splitlines())
+    levels, arpack, before, after = out.stdout.splitlines()
+    before, after = ast.literal_eval(before), ast.literal_eval(after)
     if not before:
         pytest.skip("no OpenBLAS thread controls in this numpy")
-    assert seen == [[1, 1]] * 2  # numpy's and scipy's, in each reflection block
+    assert levels == "[[1], [1]] False"  # numpy's, in each reflection block
+    assert arpack == "[[1, 1]] True"  # numpy's and scipy's
     assert after == before * 2

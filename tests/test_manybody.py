@@ -14,7 +14,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,39 +152,44 @@ def test_zero_coupling_spectrum_is_sum_of_levels(qp):
 
 
 def test_spectrum_residuals_and_phase(chain_spectrum, qp):
+    # the levels against eigh of H; the one eigenvector kept, the ground state,
+    # by its residual and its sign
     spec = chain_spectrum(4, 2.0, 1e-3)
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(4), 1e-3), 4)
     scale = np.max(np.abs(spec.eigenvalues))
-    for k in range(spec.dim):
-        v = spec.eigenvectors[:, k]
-        resid = np.max(np.abs(h.matrix @ v - spec.eigenvalues[k] * v))
-        assert resid <= 1e-9 * scale
-        assert v[np.argmax(np.abs(v))] > 0
+    assert np.max(np.abs(spec.eigenvalues - np.linalg.eigh(h.matrix)[0])) <= 1e-9 * scale
+    assert spec.eigenvectors.shape == (h.dim, 1)
+    v = spec.eigenvectors[:, 0]
+    resid = np.max(np.abs(h.matrix @ v - spec.eigenvalues[0] * v))
+    assert resid <= 1e-9 * scale
+    assert v[np.argmax(np.abs(v))] > 0
 
 
 def test_dense_and_iterative_modes_agree(qp, monkeypatch):
     q = qp(2.0)
     h = build_hamiltonian(q, pair_couplings(linear_array(9), 1e-3), 9)
     dense = spectrum(h, 2)
+    dense_ground = dense.eigenvectors[:, 0]  # Davidson, read while n = 9 is dense
+    reference = np.linalg.eigh(h.matrix)[0][:2]
     monkeypatch.setattr(manybody, "DENSE_LIMIT", 8)  # n = 9 is now matrix-free
     iterative = spectrum(h, 2)
-    assert np.allclose(dense.eigenvalues, iterative.eigenvalues, atol=1e-9)
-    for k in range(2):
-        overlap = abs(dense.eigenvectors[:, k] @ iterative.eigenvectors[:, k])
-        assert overlap == pytest.approx(1.0, abs=1e-8)
+    assert np.allclose(dense.eigenvalues, reference, atol=1e-9)
+    assert np.allclose(iterative.eigenvalues, reference, atol=1e-9)
+    assert iterative.eigenvectors.shape == (h.dim, 1)
+    overlap = abs(dense_ground @ iterative.eigenvectors[:, 0])
+    assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [2, 6, 9])
-def test_partial_dense_spectrum_matches_full(qp, chain_spectrum, n):
-    full = chain_spectrum(n, 2.0, 1e-3)
+def test_partial_dense_spectrum_matches_full(qp, n):
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(n), 1e-3), n)
+    w, v = np.linalg.eigh(h.matrix)
     for k in (1, 2):
         part = spectrum(h, k)
-        assert not part.complete and part.eigenvectors.shape == (h.dim, k)
-        assert np.allclose(
-            part.eigenvalues, full.eigenvalues[:k], rtol=1e-12, atol=0.0
-        )
-        assert np.max(np.abs(part.eigenvectors[:, 0] - full.eigenvectors[:, 0])) < 1e-10
+        assert not part.complete and part.eigenvectors.shape == (h.dim, 1)
+        assert np.allclose(part.eigenvalues, w[:k], rtol=1e-12, atol=0.0)
+        ground = _fix_phases(v[:, :1])[:, 0]
+        assert np.max(np.abs(part.eigenvectors[:, 0] - ground)) < 1e-10
 
 
 MIRROR_ARRAYS = [(linear_array(n), f"chain{n}") for n in range(1, 11)] + [
@@ -220,15 +224,23 @@ def test_matrix_equals_the_scatter_reference_byte_for_byte(qp, geom):
         assert h.matrix.tobytes() == scatter_reference(h).tobytes(), (x, omega)
 
 
-def assert_matches_dense(h, spec, reference):
-    """spec against eigh of the whole, unsymmetrised H: levels, residuals, basis."""
-    scale = np.max(np.abs(reference))
+def assert_levels_match(spec, w):
+    """spec's levels against w, eigh's levels of the whole, unsymmetrised H."""
     count = len(spec.eigenvalues)
-    assert np.max(np.abs(spec.eigenvalues - reference[:count])) <= 1e-13 * scale
-    v = spec.eigenvectors
-    assert v.shape == (h.dim, count)
-    assert np.max(np.abs(h.matrix @ v - v * spec.eigenvalues)) <= 1e-12 * scale
-    assert np.max(np.abs(v.T @ v - np.eye(count))) <= 1e-12
+    assert np.max(np.abs(spec.eigenvalues - w[:count])) <= 1e-13 * np.max(np.abs(w))
+
+
+def assert_matches_dense(h, spec, reference):
+    """spec against reference = eigh of the whole H: levels, ground residual, state."""
+    w, v = reference
+    assert_levels_match(spec, w)
+    scale = np.max(np.abs(w))
+    ground = spec.eigenvectors
+    assert ground.shape == (h.dim, 1)
+    assert np.max(np.abs(h.matrix @ ground - ground * w[0])) <= 1e-12 * scale
+    # 1e-10, or the vector's own conditioning eps * |H| / gap where that is larger
+    tol = max(1e-10, 10 * np.finfo(float).eps * scale / (w[1] - w[0]))
+    assert np.max(np.abs(ground - _fix_phases(v[:, :1]))) <= tol
 
 
 @pytest.mark.parametrize(
@@ -256,7 +268,7 @@ def test_mirror_symmetric_arrays_solve_in_reflection_blocks(qp, geom, monkeypatc
         # the two reversal blocks, built from diag and the pair couplings alone
         assert sizes == blocks * len(ks)
         assert "matrix" not in vars(h)
-        reference = np.linalg.eigh(h.matrix)[0]
+        reference = np.linalg.eigh(h.matrix)
         for spec in spectra:
             assert_matches_dense(h, spec, reference)
         assert spectra[-1].complete
@@ -268,45 +280,51 @@ def test_arrays_without_mirror_symmetry_solve_the_dense_matrix(qp, monkeypatch):
     h = build_hamiltonian(qp(2.0), pair_couplings(geom, 0.04), 4)
     assert not np.array_equal(h.pair_g, h.pair_g[::-1, ::-1])
     solved = []
-    real = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or real(a))
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or real(a)
+    )
     monkeypatch.setattr(manybody, "_reflection_sectors", None)  # any call fails
+    # the same bytes as LAPACK on the whole dense matrix
+    with manybody._blas.single_thread(h.dim**2):
+        levels = real(h.matrix)
+    reference = np.linalg.eigh(h.matrix)
     for k in (2, 3, "all"):
         spec = spectrum(h, k)
-        # the same bytes as LAPACK on the whole dense matrix
-        with manybody._blas.single_thread(h.dim**2):
-            if k == "all":
-                w, v = real(h.matrix)
-            else:
-                w, v = scipy.linalg.eigh(h.matrix, subset_by_index=[0, k - 1])
-        assert spec.eigenvalues.tobytes() == w.tobytes()
-        assert spec.eigenvectors.tobytes() == _fix_phases(v).tobytes()
-    assert solved == [(16, 16)]
-    assert_matches_dense(h, spec, w)
+        assert spec.eigenvalues.tobytes() == levels[: len(spec.eigenvalues)].tobytes()
+        assert_matches_dense(h, spec, reference)
+    assert solved == [(16, 16)] * 3
 
 
-def test_column_blocks_keep_the_eigenvector_bytes(qp, monkeypatch):
-    # 512 columns at n = 9 take two column blocks; one block of all columns
-    # must give the same bytes
+def test_level_solves_leave_the_ground_column_to_first_read(qp, monkeypatch):
+    # a dense level solve computes no eigenvector: its ground column is
+    # solved on first read, by the k = 1 solver, to the same bytes, and kept
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(9), 1e-3), 9)
-    blocked = spectrum(h, "all")
-    monkeypatch.setattr(manybody, "_COLUMN_BLOCK", h.dim)
-    whole = spectrum(h, "all")
-    assert blocked.eigenvalues.tobytes() == whole.eigenvalues.tobytes()
-    assert blocked.eigenvectors.tobytes() == whole.eigenvectors.tobytes()
+    ground = spectrum(h, 1).eigenvectors
+    solves = []
+    real = manybody._ground
+    monkeypatch.setattr(manybody, "_ground", lambda h: solves.append(h) or real(h))
+    for k in (2, "all"):
+        spec = spectrum(h, k)
+        assert solves == [] and "eigenvectors" not in vars(spec)
+        assert spec.eigenvectors.tobytes() == ground.tobytes()
+        assert spec.eigenvectors is spec.eigenvectors
+        assert solves == [h]
+        solves.clear()
 
 
 def test_a_wrong_antisymmetric_sign_breaks_the_blocks(qp, monkeypatch):
     # the blocks are checked against dense eigh; a sector table whose
-    # antisymmetric vectors lost their sign must fail that check
+    # antisymmetric vectors lost their sign must fail that check through
+    # the levels, since no vector comes from the blocks
     h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(5), 0.04), 5)
-    reference = np.linalg.eigh(h.matrix)[0]
+    reference = np.linalg.eigh(h.matrix)
     assert_matches_dense(h, spectrum(h, "all"), reference)
     symmetric, (reps, row, coef) = manybody._reflection_sectors(5)
     wrong = (symmetric, (reps, row, np.abs(coef)))
     monkeypatch.setattr(manybody, "_reflection_sectors", lambda n: wrong)
     with pytest.raises(AssertionError):
-        assert_matches_dense(h, spectrum(h, "all"), reference)
+        assert_levels_match(spectrum(h, "all"), reference[0])
 
 
 def test_dense_matrix_is_built_on_first_read_only(qp):
@@ -345,16 +363,15 @@ def test_ground_state_matches_full_eigh_at_strong_coupling(qp, eigsh_calls):
         for x in (0.1, 0.5, 2.0, 8.0, 20.0):
             for omega in (1e-5, 1e-2, 0.1, 0.3, 1.0, 30.0):
                 h = build_hamiltonian(qp(x), pair_couplings(geom, omega), geom.n_sites)
-                full = spectrum(h, "all")
                 ground = spectrum(h, 1)
                 solves += 1
-                e = full.eigenvalues
+                e, v = np.linalg.eigh(h.matrix)
                 scale = max(abs(e[0]), abs(e[-1]))
                 assert abs(ground.eigenvalues[0] - e[0]) <= 1e-12 * scale
                 # 1e-10, or the vector's own conditioning eps * |H| / gap where
                 # the gap is that small (1.6e-4 at n = 6, x = 2, omega = 30)
                 tol = max(1e-10, 10 * eps * scale / (e[1] - e[0]))
-                diff = ground.eigenvectors[:, 0] - full.eigenvectors[:, 0]
+                diff = ground.eigenvectors[:, 0] - _fix_phases(v[:, :1])[:, 0]
                 assert np.max(np.abs(diff)) <= tol, (geom, x, omega)
     assert 0 < len(eigsh_calls) < solves
 
@@ -370,13 +387,12 @@ def test_two_molecule_ground_state_where_davidson_runs_out_of_directions(qp):
             geom = ArrayGeometry("linear", linear_array(2).positions, field)
             for omega in np.geomspace(1e-4, 3, 25):
                 h = build_hamiltonian(qp(float(x)), pair_couplings(geom, omega), 2)
-                full = spectrum(h, "all")
                 ground = spectrum(h, 1)
-                e = full.eigenvalues
+                e, v = np.linalg.eigh(h.matrix)
                 scale = max(abs(e[0]), abs(e[-1]))
                 assert abs(ground.eigenvalues[0] - e[0]) <= 1e-12 * scale
                 tol = max(1e-10, 10 * eps * scale / (e[1] - e[0]))
-                diff = ground.eigenvectors[:, 0] - full.eigenvectors[:, 0]
+                diff = ground.eigenvectors[:, 0] - _fix_phases(v[:, :1])[:, 0]
                 assert np.max(np.abs(diff)) <= tol, (field, x, omega)
 
 
@@ -393,9 +409,8 @@ def test_certified_dense_ground_state_needs_no_arpack(qp, eigsh_calls, monkeypat
 def test_dense_size_ground_state_builds_no_dense_matrix(qp, eigsh_calls):
     # Davidson iterates on a sector's table: the symmetric reflection sector
     # of the chains and the square, the identity sector of a custom array
-    # without mirror symmetry.  The references are the full spectrum at 9
-    # sites and ARPACK on apply at 12 and 13, where a full spectrum takes
-    # 3.7 s and a minute
+    # without mirror symmetry.  The references are eigh of H at 9 sites and
+    # ARPACK on apply at 12 and 13, where a full spectrum takes seconds
     custom = custom_array([[k, 0.1 * (k % 3) * (k % 5), 0] for k in range(13)])
     for geom in (linear_array(9), square_array(3, 3), linear_array(12), custom):
         h = build_hamiltonian(qp(2.0), pair_couplings(geom, 1e-3), geom.n_sites)
@@ -403,14 +418,12 @@ def test_dense_size_ground_state_builds_no_dense_matrix(qp, eigsh_calls):
         assert "matrix" not in vars(h)
         assert eigsh_calls == []
         if h.n <= 9:
-            reference = spectrum(h, "all")
-            e0, vector = reference.eigenvalues[0], reference.eigenvectors[:, 0]
+            w, v = np.linalg.eigh(h.matrix)
         else:
             op = scipy.sparse.linalg.LinearOperator((h.dim,) * 2, h.apply, dtype=float)
             w, v = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=0.0)
-            e0, vector = w[0], _fix_phases(v)[:, 0]
             eigsh_calls.clear()
-        assert "matrix" not in vars(h)
+        e0, vector = w[0], _fix_phases(v[:, :1])[:, 0]
         # no looser than the strong-coupling test above: |E0| is at most its
         # scale, and 1e-10 its vector tolerance where the gap is not small
         assert abs(ground.eigenvalues[0] - e0) <= 1e-12 * abs(e0)
@@ -436,12 +449,16 @@ def test_uncertified_ground_state_runs_arpack_on_apply(qp, eigsh_calls, monkeypa
         ground = spectrum(h, 1)
         assert isinstance(eigsh_calls[-1], scipy.sparse.linalg.LinearOperator)
         assert applied and all(a is h for a in applied)
-        full = spectrum(h, "all")
-        e = full.eigenvalues
+        # eigh of H, not the "all" spectrum, whose ground column would be
+        # this same ARPACK solve
+        e, v = np.linalg.eigh(h.matrix)
+        assert np.max(np.abs(spectrum(h, "all").eigenvalues - e)) <= 1e-13 * max(
+            abs(e[0]), abs(e[-1])
+        )
         scale = max(abs(e[0]), abs(e[-1]))
         assert abs(ground.eigenvalues[0] - e[0]) <= 1e-12 * scale
         tol = max(1e-10, 10 * eps * scale / (e[1] - e[0]))
-        diff = ground.eigenvectors[:, 0] - full.eigenvectors[:, 0]
+        diff = ground.eigenvectors[:, 0] - _fix_phases(v[:, :1])[:, 0]
         assert np.max(np.abs(diff)) <= tol, n
     assert len(eigsh_calls) == 2
 
