@@ -199,17 +199,17 @@ class Spectrum:
     dim records the full state-space size so consumers can tell a partial
     spectrum from a complete one.  eigenvectors holds the ground state only,
     with its largest-magnitude amplitude made positive: nothing reads an
-    excited one.  It is solved on first read, by _ground (a dense level
-    solve leaves it to Davidson or ARPACK), and kept.
+    excited one.  It is solved on first read, by _solve_ground (a dense
+    level solve leaves it to Davidson or ARPACK), and kept.
     """
 
     eigenvalues: np.ndarray
     dim: int
-    _ground: Callable[[], np.ndarray] = field(repr=False)
+    _solve_ground: Callable[[], np.ndarray] = field(repr=False)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        return self._ground()
+        return self._solve_ground()
 
     @property
     def complete(self) -> bool:
@@ -383,7 +383,7 @@ def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
     Each of h's sectors (`_sectors`) is built just before its `eigvalsh`, so
     no two blocks are held at once, and no eigenvector is computed.  The
     levels are merged by a stable sort.  The solves share one thread-count
-    block.  The ground column is left to `_ground`, on first read.
+    block.  The ground column is left to `_ground_state`, on first read.
     """
     sectors = _sectors(h)
     flips = _flip_weights(h.qp, h.pair_g, list(range(h.n)))
@@ -394,10 +394,10 @@ def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
         ]
     levels = np.sort(np.concatenate(levels), kind="stable")
     count = h.dim if k == "all" else int(k)
-    return Spectrum(levels[:count], h.dim, lambda: _ground(h)[1])
+    return Spectrum(levels[:count], h.dim, lambda: _ground_state(h)[1])
 
 
-def _ground(h: QubitHamiltonian) -> tuple[float, np.ndarray]:
+def _ground_state(h: QubitHamiltonian) -> tuple[float, np.ndarray]:
     """h's ground level and (dim, 1) column: Davidson if certified, else ARPACK."""
     if h.n <= DENSE_LIMIT:
         # the operand is H (or a sector block of it), 4^n doubles whether
@@ -493,7 +493,7 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     elif k != "all" and not 1 <= k <= h.dim:
         raise ValueError(f"k must be in [1, {h.dim}], got {k}")
     if k == 1:
-        level, column = _ground(h)
+        level, column = _ground_state(h)
         return Spectrum(np.array([level]), h.dim, lambda: column)
     if dense:
         return _sector_spectrum(h, k)

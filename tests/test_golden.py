@@ -212,8 +212,8 @@ def test_output_matches_golden(name, tmp_path, monkeypatch):
 
 
 def test_two_blas_threads_move_no_byte(tmp_path):
-    # the goldens that two threads used to move; fig4a's evr comes first, so
-    # the first solve of the process loads scipy's OpenBLAS
+    # the goldens that two threads used to move: their level solves and
+    # ground states must keep every byte at OPENBLAS_NUM_THREADS=2
     names = ["fig4a", "fig4b", "sweep"]
     if _blas.thread_controls(*_blas.NUMPY) is None:
         pytest.skip("numpy's BLAS has no OpenBLAS thread controls")
