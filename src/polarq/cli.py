@@ -65,6 +65,7 @@ from .lattice import (
 )
 from .manybody import (
     DENSE_LIMIT,
+    MAX_OMEGA,
     build_hamiltonian,
     energy_gap,
     p_not_all_zero,
@@ -277,10 +278,10 @@ def _sweep_plan(cfg, default, defaults, meta, header, row) -> TaskPlan:
         raise ConfigError("sweep: 'from' must be <= 'to'")
     if sweep.get("scale") == "log" and sweep["from"] <= 0:
         raise ConfigError("sweep/from: log scale needs a positive lower bound")
-    if axis == "x" and sweep["to"] > MAX_X:
+    top = {"x": MAX_X, "omega": MAX_OMEGA}.get(axis, math.inf)
+    if sweep["to"] > top:
         raise ConfigError(
-            f"sweep/to: {sweep['to']} is greater than the maximum of {MAX_X},"
-            " the largest x at which a pendular solve is known to settle"
+            f"sweep/to: {sweep['to']} is greater than the maximum of {top} on {axis}"
         )
     space = np.geomspace if sweep.get("scale", "linear") == "log" else np.linspace
     values = [float(v) for v in space(sweep["from"], sweep["to"], sweep["points"])]
@@ -599,14 +600,7 @@ def _plan_nmr_cnot(cfg, params, *_) -> TaskPlan:
 
     def rows():
         rep = nmr_cnot_sequence(**args)
-        yield [
-            rep.dw_shift,
-            rep.angular_frequency,
-            rep.wait_scale,
-            rep.wait_time,
-            rep.deviation,
-            *rep.phases,
-        ]
+        yield [*args.values(), rep.wait_time, rep.deviation, *rep.phases]
 
     return TaskPlan({}, header, rows())
 
@@ -651,6 +645,7 @@ def _array(items: dict, size: int | None = None, min_items: int = 1) -> dict:
 
 _NUMBER = {"type": "number"}
 _X = {"type": "number", "minimum": 0, "maximum": MAX_X}  # each x the planners read
+_OMEGA = {"type": "number", "minimum": 0, "maximum": MAX_OMEGA}  # and each omega
 _COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_QUBITS}
 _PAIR = _array({"type": "integer", "minimum": 0}, 2)
 _PHASES = _array(_NUMBER, min_items=2)  # inline phases and a phases_file's list
@@ -693,7 +688,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "x": _X,
-                "omega": {"type": "number", "minimum": 0},
+                "omega": _OMEGA,
                 "kt": {"type": "number", "minimum": 0},
                 "n": _COUNT,
                 "eps": {"type": "number", "exclusiveMinimum": 0},
@@ -701,7 +696,7 @@ CONFIG_SCHEMA = {
                 "cols": _COUNT,
                 "n_values": _array(_COUNT),
                 "x_values": _array(_X),
-                "omega_values": _array({"type": "number", "minimum": 0}),
+                "omega_values": _array(_OMEGA),
                 "pairs": _array(_PAIR),
                 "phases": _PHASES,
                 "phases_file": {"type": "string"},

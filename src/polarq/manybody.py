@@ -24,7 +24,7 @@ scatters), with no dense matrix, and from ARPACK's Lanczos iteration on
 sector blocks up to 14 qubits: levels only, with no eigenvector.
 Above 14 qubits only the lowest few levels are available, from ARPACK, so
 thermal populations stop at 14 qubits.  Every spectrum carries the ground
-state alone; a dense level solve solves it on first read.
+state alone, its Hamiltonian's one `_ground`, solved at most once, on first read.
 
 scipy is imported only by ARPACK (scipy.sparse.linalg).  Importing this
 module, and every dense solve, loads no part of scipy.
@@ -46,6 +46,8 @@ from .lattice import PairCouplings
 from .pendular import QubitPair, _fix_phases
 
 DENSE_LIMIT = 14
+# Above this Omega/B the rounding error of a gap, eps max|E| / gap, passes 1e-9
+MAX_OMEGA = 10.0
 
 # Thermal occupations below this are indistinguishable from underflow noise.
 _PROBABILITY_FLOOR = 1e-300
@@ -107,7 +109,7 @@ def _flip_weights(qp: QubitPair, pair_g: np.ndarray, sites: list[int]) -> np.nda
     """Single-flip weights xme * sum_j g_ij c_{b_j} of the given sites, a row each.
 
     Each row is an outer sum over the bits in ascending order, about two passes
-    over 2^n entries; apply asks for one site at a time, so no n x 2^n table.
+    over 2^n entries.  `_flips` keeps every site's; apply asks for one at a time.
     """
     terms = pair_g[sites, :, None] * qp.xme * np.array([qp.c0, qp.c1])
     w = np.zeros((len(sites), 1))
@@ -127,6 +129,8 @@ class QubitHamiltonian:
     hashable tuple; apply forms H @ v from them at every size.  matrix is the
     same operator as a dense array, the identity sector's `_sector_block`,
     built on first read for n <= 14, and None above; no solve reads it.
+    _flips (every site's flip weights) and _ground (the ground state) are
+    built on first read too, once per Hamiltonian, for every solve.
     """
 
     n: int
@@ -151,8 +155,25 @@ class QubitHamiltonian:
         """H as a dense 2^n x 2^n array for n <= 14, else None; built once."""
         if self.n > DENSE_LIMIT:
             return None
-        flips = _flip_weights(self.qp, self.pair_g, list(range(self.n)))
-        return _sector_block(*_sector_table(self, flips, *_identity_sector(self.n)))
+        return _sector_block(*_sector_table(self, *_identity_sector(self.n)))
+
+    @functools.cached_property
+    def _flips(self) -> np.ndarray:
+        """The n x 2^n single-flip weights of every site, a row each."""
+        return _flip_weights(self.qp, self.pair_g, list(range(self.n)))
+
+    @functools.cached_property
+    def _ground(self) -> tuple[float, np.ndarray]:
+        """The ground level and (dim, 1) column: Davidson if certified, else ARPACK."""
+        if self.n <= DENSE_LIMIT:
+            # the operand is H (or a sector block of it), 4^n doubles whether
+            # stored or applied, so up to 9 qubits it runs on one BLAS thread
+            with _blas.single_thread(self.dim**2):
+                ground = _davidson_ground(self)
+            if ground is not None:
+                return ground
+        levels, column = _arpack(self, 1)
+        return levels[0], column
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """H @ v without materializing H; a flip of bit i reverses axis i."""
@@ -199,8 +220,8 @@ class Spectrum:
     dim records the full state-space size so consumers can tell a partial
     spectrum from a complete one.  eigenvectors holds the ground state only,
     with its largest-magnitude amplitude made positive: nothing reads an
-    excited one.  It is solved on first read, by _solve_ground (a dense
-    level solve leaves it to Davidson or ARPACK), and kept.
+    excited one.  _solve_ground reads it on first access: the Hamiltonian's
+    one ground column, so every spectrum of one Hamiltonian holds the same.
     """
 
     eigenvalues: np.ndarray
@@ -251,8 +272,7 @@ def _davidson_ground(h: QubitHamiltonian) -> tuple[float, np.ndarray] | None:
     reps, row, coef = _sectors(h)[0]
     if coef[start] != 1.0:  # not a palindrome: its basis vector is in no sector
         reps, row, coef = _identity_sector(h.n)
-    flips = _flip_weights(qp, h.pair_g, list(range(h.n)))
-    rows, vals = _sector_table(h, flips, reps, row, coef)
+    rows, vals = _sector_table(h, reps, row, coef)
     diag = h.diag[reps]
 
     def apply(u: np.ndarray) -> np.ndarray:
@@ -339,8 +359,7 @@ def _sectors(h: QubitHamiltonian) -> list[tuple[np.ndarray, ...]]:
 
 
 def _sector_table(
-    h: QubitHamiltonian, flips: np.ndarray, reps: np.ndarray, row: np.ndarray,
-    coef: np.ndarray,
+    h: QubitHamiltonian, reps: np.ndarray, row: np.ndarray, coef: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """H's block in one symmetry sector, as (rows, vals) of its columns.
 
@@ -357,10 +376,8 @@ def _sector_table(
     masks = np.array([0] + bit + [bit[i] | bit[j] for i, j, _ in h.couplings])
     pair_flip = np.array([g for _, _, g in h.couplings]) * h.qp.xme**2
     pair_rows = np.broadcast_to(pair_flip[:, None], (pair_flip.size, m))
-    values = np.concatenate([h.diag[None, reps], flips[:, reps], pair_rows])
+    values = np.concatenate([h.diag[None, reps], h._flips[:, reps], pair_rows])
     x = reps ^ masks[:, None]
-    if row is reps:  # the identity sector: x is its own row, and coef is 1
-        return x, values
     return row[x], values * (coef[x] / coef[reps])
 
 
@@ -377,37 +394,19 @@ def _sector_block(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.bincount(bins.ravel(), vals.ravel(), minlength=m * m).reshape(m, m).T
 
 
-def _sector_spectrum(h: QubitHamiltonian, k: int | str) -> Spectrum:
-    """The lowest k levels of a dense h, or all, solved sector by sector.
+def _sector_levels(h: QubitHamiltonian) -> np.ndarray:
+    """Every level of a dense h, ascending, solved sector by sector.
 
-    Each of h's sectors (`_sectors`) is built just before its `eigvalsh`, so
-    no two blocks are held at once, and no eigenvector is computed.  The
-    levels are merged by a stable sort.  The solves share one thread-count
-    block.  The ground column is left to `_ground_state`, on first read.
+    Each sector's block (`_sectors`) is built just before its `eigvalsh`, so no
+    two are held at once; no eigenvector is computed, the solves share one
+    thread-count block, and a stable sort merges the levels.
     """
     sectors = _sectors(h)
-    flips = _flip_weights(h.qp, h.pair_g, list(range(h.n)))
     with _blas.single_thread(max(s[0].size for s in sectors) ** 2):
         levels = [
-            np.linalg.eigvalsh(_sector_block(*_sector_table(h, flips, *s)))
-            for s in sectors
+            np.linalg.eigvalsh(_sector_block(*_sector_table(h, *s))) for s in sectors
         ]
-    levels = np.sort(np.concatenate(levels), kind="stable")
-    count = h.dim if k == "all" else int(k)
-    return Spectrum(levels[:count], h.dim, lambda: _ground_state(h)[1])
-
-
-def _ground_state(h: QubitHamiltonian) -> tuple[float, np.ndarray]:
-    """h's ground level and (dim, 1) column: Davidson if certified, else ARPACK."""
-    if h.n <= DENSE_LIMIT:
-        # the operand is H (or a sector block of it), 4^n doubles whether
-        # stored or applied, so up to 9 qubits it runs on one BLAS thread
-        with _blas.single_thread(h.dim**2):
-            ground = _davidson_ground(h)
-        if ground is not None:
-            return ground
-    levels, column = _arpack(h, 1)
-    return levels[0], column
+    return np.sort(np.concatenate(levels), kind="stable")
 
 
 def _arpack(h: QubitHamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -452,8 +451,8 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
 
     k = "all" and an integer k >= 2 are levels only, `eigvalsh` of dense
     blocks, up to 14 qubits; "all" needs n <= 14, and k >= 2 is ARPACK
-    above.  Every result's eigenvectors is the ground column alone, which a
-    dense level solve solves on first read as k = 1 does.  Where the pair
+    above.  Every result's eigenvectors is h's one ground column, read on
+    first access and solved at most once per h, whatever k.  Where the pair
     couplings are unchanged by reversing the site order (g_ij =
     g_{n-1-i, n-1-j} bit for bit; every chain and every row-major square
     array, whatever the field direction, since reversal maps r_ij to -r_ij),
@@ -462,7 +461,7 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     about a quarter of the work of one solve of the whole H.  Other arrays,
     such as most custom geometries, solve the one block of the identity
     sector, which is H itself.  Every block comes from the same builder,
-    from `diag` and the pair couplings (`_sector_spectrum`).
+    from `diag` and the pair couplings (`_sector_levels`).
     When the Krylov space closes early (a short symmetric chain, or
     Omega = 0, which makes H diagonal), ARPACK continues from a random vector
     drawn from one generator per process.  The ground state already lies in
@@ -493,12 +492,12 @@ def spectrum(h: QubitHamiltonian, k: int | str = "all") -> Spectrum:
     elif k != "all" and not 1 <= k <= h.dim:
         raise ValueError(f"k must be in [1, {h.dim}], got {k}")
     if k == 1:
-        level, column = _ground_state(h)
-        return Spectrum(np.array([level]), h.dim, lambda: column)
-    if dense:
-        return _sector_spectrum(h, k)
-    levels, column = _arpack(h, int(k))
-    return Spectrum(levels, h.dim, lambda: column)
+        levels = np.array([h._ground[0]])
+    elif dense:
+        levels = _sector_levels(h)[: None if k == "all" else k]
+    else:
+        levels = _arpack(h, int(k))[0]
+    return Spectrum(levels, h.dim, lambda: h._ground[1])
 
 
 def p_not_all_zero(ground: np.ndarray) -> float:

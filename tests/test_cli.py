@@ -333,6 +333,22 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             },
             "sweep/to: 2000000.0 is greater than the maximum of 1000000.0",
         ),
+        # couplings beyond Omega/B = 10, where a gap's rounding error passes 1e-9
+        (
+            {"task": "gap", "parameters": {"omega": 1e10}},
+            "parameters/omega: 10000000000.0 is greater than the maximum of 10.0",
+        ),
+        (
+            {"task": "fit-residuals", "parameters": {"omega_values": [1e-3, 30]}},
+            "parameters/omega_values/1: 30 is greater than the maximum of 10.0",
+        ),
+        (
+            {
+                "task": "fig3a",
+                "sweep": {"parameter": "omega", "from": 1.0, "to": 100.0, "points": 3},
+            },
+            "sweep/to: 100.0 is greater than the maximum of 10.0",
+        ),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -392,6 +408,9 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg53-thermal x above 1e6",
         "cfg54-fig3b x_values above 1e6",
         "cfg55-fig5b x sweep above 1e6",
+        "cfg56-gap omega above 10",
+        "cfg57-fit-residuals omega_values above 10",
+        "cfg58-fig3a omega sweep above 10",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, monkeypatch, cfg, needle):
@@ -1205,8 +1224,8 @@ def test_ground_state_tasks_do_not_depend_on_earlier_solves(tmp_path):
     # process, when its Krylov space closes early: small symmetric chains and
     # the diagonal H of omega = 0 do that.  A k = 1 task must give the same
     # bytes whatever the process solved before it.  Weak coupling runs
-    # Davidson; omega = 10 and 30 are too strong for its certificate and run
-    # ARPACK.
+    # Davidson; omega = 1 to 10, the cap, is too strong for its certificate
+    # and runs ARPACK.
     configs = [
         write_cfg(tmp_path, {"task": "fig3b"}, "fig3b.json"),
         *(
@@ -1219,7 +1238,7 @@ def test_ground_state_tasks_do_not_depend_on_earlier_solves(tmp_path):
                 },
                 f"fig5a_{i}.json",
             )
-            for i, (lo, hi) in enumerate([(0.0, 1e-3), (10.0, 30.0)])
+            for i, (lo, hi) in enumerate([(0.0, 1e-3), (1.0, 10.0)])
         ),
     ]
     history = (

@@ -31,7 +31,7 @@ from polarq import (
     spectrum,
     square_array,
 )
-from polarq import manybody
+from polarq import cli, manybody
 from polarq.lattice import ArrayGeometry, PairCouplings
 from polarq.pendular import _fix_phases
 from polarq.manybody import (
@@ -249,14 +249,14 @@ def assert_matches_dense(h, spec, reference):
 )
 def test_mirror_symmetric_arrays_solve_in_reflection_blocks(qp, geom, monkeypatch):
     solves, sizes = [], []
-    real_spectrum, real_table = manybody._sector_spectrum, manybody._sector_table
+    real_levels, real_table = manybody._sector_levels, manybody._sector_table
     monkeypatch.setattr(
-        manybody, "_sector_spectrum", lambda h, k: solves.append(k) or real_spectrum(h, k)
+        manybody, "_sector_levels", lambda h: solves.append(h) or real_levels(h)
     )
     monkeypatch.setattr(
         manybody,
         "_sector_table",
-        lambda h, flips, *s: sizes.append(s[0].size) or real_table(h, flips, *s),
+        lambda h, *s: sizes.append(s[0].size) or real_table(h, *s),
     )
     n = geom.n_sites
     half = 1 << ((n + 1) // 2)
@@ -300,20 +300,61 @@ def test_arrays_without_mirror_symmetry_solve_the_dense_matrix(qp, monkeypatch):
 def test_level_solves_leave_the_ground_column_to_first_read(qp, monkeypatch):
     # a dense level solve computes no eigenvector: its ground column is
     # solved on first read, by the k = 1 solver, to the same bytes, and kept
-    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(9), 1e-3), 9)
-    ground = spectrum(h, 1).eigenvectors
+    coups = pair_couplings(linear_array(9), 1e-3)
+    ground = spectrum(build_hamiltonian(qp(2.0), coups, 9), 1).eigenvectors
+    h = build_hamiltonian(qp(2.0), coups, 9)
     solves = []
-    real = manybody._ground_state
+    real = manybody._davidson_ground
     monkeypatch.setattr(
-        manybody, "_ground_state", lambda h: solves.append(h) or real(h)
+        manybody, "_davidson_ground", lambda h: solves.append(h) or real(h)
     )
-    for k in (2, "all"):
-        spec = spectrum(h, k)
-        assert solves == [] and "eigenvectors" not in vars(spec)
+    spectra = [spectrum(h, k) for k in (2, "all")]
+    assert solves == [] and not any("eigenvectors" in vars(s) for s in spectra)
+    for spec in spectra:
         assert spec.eigenvectors.tobytes() == ground.tobytes()
         assert spec.eigenvectors is spec.eigenvectors
-        assert solves == [h]
-        solves.clear()
+        assert solves == [h]  # once per Hamiltonian, not once per spectrum
+
+
+@pytest.mark.parametrize(
+    "n, limit, ks",
+    [
+        (4, DENSE_LIMIT, (1, 2, 3, "all")),
+        (9, DENSE_LIMIT, (1, 2, 3, "all")),
+        (9, 8, (1, 2, 3)),
+        (10, 8, (1, 2, 3)),
+    ],
+    ids=["dense-4", "dense-9", "matrix-free-9", "matrix-free-10"],
+)
+def test_every_spectrum_of_a_hamiltonian_holds_its_one_ground_column(
+    qp, n, limit, ks, monkeypatch
+):
+    # every k reads h's one ground solve, not a column of its own: ARPACK's
+    # k = 2 Ritz vector differed from its k = 1 vector by up to 7.8e-16
+    monkeypatch.setattr(manybody, "DENSE_LIMIT", limit)
+    h = build_hamiltonian(qp(2.0), pair_couplings(linear_array(n), 1e-3), n)
+    spectra = [spectrum(h, k) for k in ks]
+    assert all(s.eigenvectors is spectra[0].eigenvectors for s in spectra)
+
+
+def test_readme_sweep_builds_one_flip_table_per_hamiltonian(monkeypatch, tmp_path):
+    # README's sweep example: 9 points, each a Hamiltonian whose Davidson
+    # ground state and full level solve share one table of flip weights
+    tables = []
+    real = manybody._flip_weights
+    monkeypatch.setattr(
+        manybody, "_flip_weights", lambda *a: tables.append(a[2]) or real(*a)
+    )
+    cfg = {
+        "task": "sweep",
+        "geometry": {"kind": "square", "rows": 3, "cols": 3},
+        "sweep": {
+            "parameter": "omega", "from": 1e-5, "to": 1e-3, "points": 9, "scale": "log"
+        },
+        "parameters": {"x": 2.0, "kt": 0.002},
+    }
+    assert cli.run(cfg, str(tmp_path / "sweep.csv"), 0) == 0
+    assert tables == [list(range(9))] * 9
 
 
 def test_a_wrong_antisymmetric_sign_breaks_the_blocks(qp, monkeypatch):
