@@ -29,7 +29,6 @@ import os
 import sys
 from typing import Callable, Iterable, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -225,8 +224,7 @@ def _resolve_phases(params: dict, seed: int) -> tuple[DiagonalUnitary, dict]:
                     raw.append(float(token))
                 except ValueError:
                     raise ConfigError(f"{path}: {token!r} is not a number") from None
-        errors = jsonschema.Draft202012Validator(_PHASES).iter_errors(raw)
-        if bad := [f"{path}: {e.message}" for e in errors]:
+        if bad := [f"{path}: {m}" for _, m in _schema_errors(raw, _PHASES)]:
             raise ConfigError("\n".join(bad))
         d = DiagonalUnitary.from_phases(raw)
         meta["phases_file"] = path
@@ -714,6 +712,71 @@ CONFIG_SCHEMA = {
     },
 }
 
+# JSON types by schema name; a bool is neither an integer nor a number, and
+# an integer is an int, so 3.0 is no integer (Draft 2020-12 counts it as one)
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "integer": int,
+    "number": (int, float),
+}
+
+
+def _is_type(value, name: str) -> bool:
+    return isinstance(value, _TYPES[name]) and (
+        name == "boolean" or not isinstance(value, bool)
+    )
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way `value` breaks `schema`.
+
+    Checks only the keywords CONFIG_SCHEMA uses, in schema order, worded as
+    the reference validator that tests/test_cli.py checks it against words
+    them; other keywords ("$schema", "title") are ignored.
+    """
+    for key, rule in schema.items():
+        if key == "type" and not _is_type(value, rule):
+            yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum" and value not in rule:  # every enum lists strings
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif isinstance(value, dict):
+            if key == "required":
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, (*path, name))
+            elif key == "additionalProperties":  # every one is False
+                known = schema.get("properties", {})
+                extra = sorted((k for k in value if k not in known), key=str)
+                if extra:
+                    names = ", ".join(map(repr, extra))
+                    verb = "was" if len(extra) == 1 else "were"
+                    unexpected = f"({names} {verb} unexpected)"
+                    yield path, f"Additional properties are not allowed {unexpected}"
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, rule, (*path, i))
+            elif key == "minItems" and len(value) < rule:
+                short = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {short}"
+            elif key == "maxItems" and len(value) > rule:
+                yield path, f"{value!r} is too long"
+        elif _is_type(value, "number"):
+            if key == "minimum" and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+            elif key == "maximum" and value > rule:
+                yield path, f"{value!r} is greater than the maximum of {rule!r}"
+            elif key == "exclusiveMinimum" and value <= rule:
+                at_most = "is less than or equal to the minimum of"
+                yield path, f"{value!r} {at_most} {rule!r}"
+
 
 class _Reads(dict):
     """A config block that notes each key looked up; `unread` names the rest."""
@@ -747,8 +810,8 @@ class _Reads(dict):
 def plan_config(cfg, seed: int = 0, out_path: str = "") -> TaskPlan:
     """Schema-check and plan a config; ConfigError lists every violation."""
     errors = [
-        ("/".join(map(str, e.absolute_path)), e.message)
-        for e in jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg)
+        ("/".join(map(str, path)), message)
+        for path, message in _schema_errors(cfg, CONFIG_SCHEMA)
     ]
     if errors:
         errors.sort(key=lambda e: e[0])  # stable: a path keeps its errors' order

@@ -10,8 +10,11 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarq
 from polarq import (
@@ -349,6 +352,34 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
             },
             "sweep/to: 100.0 is greater than the maximum of 10.0",
         ),
+        # integral floats in integer fields, which no planner can count with
+        (
+            {"task": "concurrence", "geometry": {"n": 3.0}},
+            "geometry/n: 3.0 is not of type 'integer'",
+        ),
+        (
+            {"task": "compile-diagonal", "parameters": {"random_qubits": 3.0}},
+            "parameters/random_qubits: 3.0 is not of type 'integer'",
+        ),
+        (
+            {
+                "task": "sweep",
+                "sweep": {"parameter": "omega", "from": 0, "to": 1e-3, "points": 2.0},
+            },
+            "sweep/points: 2.0 is not of type 'integer'",
+        ),
+        (
+            {"task": "cluster-check", "parameters": {"graph": "grid", "rows": 2.0}},
+            "parameters/rows: 2.0 is not of type 'integer'",
+        ),
+        (
+            {"task": "fig3b", "parameters": {"n_values": [2.0, 3]}},
+            "parameters/n_values/0: 2.0 is not of type 'integer'",
+        ),
+        (
+            {"task": "thermal", "parameters": {"n": 3.0}},
+            "parameters/n: 3.0 is not of type 'integer'",
+        ),
     ],
     # literal ids: a case added anywhere in the list renames no other case
     ids=[
@@ -411,6 +442,12 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
         "cfg56-gap omega above 10",
         "cfg57-fit-residuals omega_values above 10",
         "cfg58-fig3a omega sweep above 10",
+        "cfg59-concurrence geometry n 3.0",
+        "cfg60-compile-diagonal random_qubits 3.0",
+        "cfg61-sweep points 2.0",
+        "cfg62-cluster-check rows 2.0",
+        "cfg63-fig3b n_values 2.0",
+        "cfg64-thermal n 3.0",
     ],
 )
 def test_validate_semantic_rules(tmp_path, capsys, monkeypatch, cfg, needle):
@@ -957,6 +994,106 @@ def test_published_schema_is_in_sync():
     here = Path(__file__).resolve().parents[1]
     published = (here / "docs" / "config.schema.json").read_bytes()
     assert published == (json.dumps(cli.CONFIG_SCHEMA, indent=2) + "\n").encode()
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+# the keywords cli._schema_errors implements, and the annotations it skips
+_CHECKED_KEYWORDS = {
+    "type", "enum", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+}
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_schema_uses_only_keywords_the_checker_implements():
+    # a keyword the checker does not know would be skipped without a word
+    top = {"$schema", "title"}
+    assert set(cli.CONFIG_SCHEMA) - _CHECKED_KEYWORDS == top
+    for sub in _subschemas(cli.CONFIG_SCHEMA):
+        if sub is not cli.CONFIG_SCHEMA:
+            assert set(sub) <= _CHECKED_KEYWORDS, sub
+        # and only the forms it implements: no extra keys, string enums
+        assert sub.get("additionalProperties", False) is False, sub
+        assert all(isinstance(v, str) for v in sub.get("enum", ())), sub
+
+
+# jsonschema's Draft 2020-12 with polarq's one departure: an integer is an int
+_INT_ONLY = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+    ),
+)
+
+# values of every JSON type, for any field to hold in place of its own type
+_ANY_JSON = st.sampled_from(
+    [None, True, False, 0, -1, 3.0, 2e6, "", "linear", [], [1, "a"], {}, {"n": 1}]
+)
+
+
+def _mostly(fit):
+    """`fit` about seven draws in eight, a value of any JSON type the eighth."""
+    return st.one_of(*[fit] * 7, _ANY_JSON)
+
+
+def _json_for(schema):
+    """Values for `schema`, in and out of range, with wrong types and extra keys."""
+    keys = ("minimum", "maximum", "exclusiveMinimum")
+    bounds = [schema[k] for k in keys if k in schema]
+    edges = st.sampled_from([b + d for b in bounds for d in (-1, 0, 1)] or [0])
+    if "enum" in schema:
+        fit = st.sampled_from(schema["enum"]) | st.text(max_size=2)
+    elif schema.get("type") == "object":
+        props = {k: _json_for(v) for k, v in schema.get("properties", {}).items()}
+        need = {k: props[k] for k in schema.get("required", ())}
+        present = st.fixed_dictionaries(
+            need, optional={k: v for k, v in props.items() if k not in need}
+        )
+        extra = st.dictionaries(
+            st.sampled_from(["bogus", "Task", "xy", *props]), _ANY_JSON, max_size=2
+        )
+        drop = st.sets(st.sampled_from(sorted(need))) if need else st.just(set())
+        fit = st.builds(
+            lambda d, more, gone: {
+                **{k: v for k, v in d.items() if k not in gone}, **more
+            },
+            present,
+            st.just({}) | extra,
+            st.just(set()) | drop,
+        )
+    elif schema.get("type") == "array":
+        top = schema.get("maxItems", 3) + 1
+        fit = st.lists(_json_for(schema["items"]), min_size=0, max_size=top)
+    elif schema.get("type") == "integer":
+        ints = st.integers(-2, 30) | edges.map(int) | st.just(10**15)
+        fit = ints | ints.map(float)
+    elif schema.get("type") == "number":
+        fit = st.floats(-2.0, 2e6, allow_nan=False) | st.integers(-2, 30) | edges
+    elif schema.get("type") == "boolean":
+        fit = st.booleans()
+    else:
+        fit = st.text(max_size=3)
+    return _mostly(fit)
+
+
+def _schema_pair(schema):
+    return st.tuples(st.just(schema), _json_for(schema))
+
+
+@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@given(_schema_pair(cli.CONFIG_SCHEMA) | _schema_pair(cli._PHASES))
+def test_schema_checker_agrees_with_jsonschema(schema_and_value):
+    schema, value = schema_and_value
+    errors = _INT_ONLY(schema).iter_errors(value)
+    expected = [(tuple(e.absolute_path), e.message) for e in errors]
+    assert list(cli._schema_errors(value, schema)) == expected
 
 
 def _polarq_distribution():
@@ -1266,7 +1403,9 @@ def test_ground_state_tasks_do_not_depend_on_earlier_solves(tmp_path):
 def test_default_runs_load_neither_scipy_linalg_nor_scipy_sparse(tmp_path):
     # every dense solve is numpy's, and scipy serves only ARPACK, which no
     # default config reaches: each task's default config (sweep has none, it
-    # needs a sweep block) and README's sweep example run without either
+    # needs a sweep block) and README's sweep example run without either;
+    # configs are checked by polarq's own checker, so neither those runs nor
+    # a validate load jsonschema
     configs = [{"task": task} for task in cli.TASKS if task != "sweep"] + [
         {
             "task": "sweep",
@@ -1291,10 +1430,12 @@ def test_default_runs_load_neither_scipy_linalg_nor_scipy_sparse(tmp_path):
         "warnings.simplefilter('ignore')\n"
         f"for cfg, out in {runs!r}:\n"
         "    assert cli.main(['run', cfg, '--out', out]) == 0, cfg\n"
+        f"assert cli.main(['validate', {runs[0][0]!r}]) == 0\n"
         "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+        "print('jsonschema' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=env, cwd=tmp_path,
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["ok", "False", "False", "False"]
